@@ -337,8 +337,6 @@ def _cmd_sweep(args) -> int:
     svg = _resolve(args, cfg, "svg")
     if m_min >= m_max or b_min >= b_max:
         raise CliError(EXIT_INVALID, "empty parameter rectangle")
-    if threads < 1:
-        raise CliError(EXIT_INVALID, "threads must be positive")
     try:
         grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=threads)
     except ValueError as e:
@@ -362,8 +360,8 @@ def _cmd_classify(args) -> int:
     R = _resolve(args, cfg, "r", 0.0)
     span = _resolve(args, cfg, "span")
     out = _resolve(args, cfg, "out")
-    opts = ClassifyOptions() if span is None else ClassifyOptions(span=span)
     try:
+        opts = ClassifyOptions() if span is None else ClassifyOptions(span=span)
         cell = classify(GhmParams(M, B, R), opts)
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
@@ -521,7 +519,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--R", dest="r", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility (>= 1); no effect on output or speed",
+    )
     p.add_argument("--svg", type=str, default=None, help="also render the grid to SVG")
     common(p)
     p.set_defaults(func=_cmd_sweep)

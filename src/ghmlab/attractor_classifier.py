@@ -5,8 +5,9 @@ short period verified by cycle multipliers -> sink; otherwise Lyapunov
 exponents split chaotic / circle-candidate / undecided, and circle
 candidates must pass a polygonal invariance test to be reported as
 invariant circles. sweep() evaluates a full (M, B) grid with the same
-tree, batched over cells; its output is a pure function of the grid
-spec, independent of the thread count.
+tree in one pass batched over the live cells; its output is a pure
+function of the grid spec. Its threads argument is accepted and has no
+effect on output or speed.
 
 Exponent convention: lambda_1 from tangent-vector growth with per-step
 renormalization, lambda_2 = <ln|det DT|> - lambda_1 (exact in 2D, same
@@ -16,7 +17,6 @@ numbers as the two-vector QR scheme).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +26,6 @@ from .ghm_core import DegenerateLineError, GhmParams, State2, eig2, fixed_points
 VERDICTS = ("sink", "circle", "chaotic", "divergent", "undecided")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_BLOCK = 2048  # sweep cells per work unit; fixed so output ignores threading
 
 
 class OrbitEscapedError(RuntimeError):
@@ -54,6 +53,17 @@ class ClassifyOptions:
     gap_limit_deg: float = 10.0
     # deterministic seed: offset from the chosen fixed point (see classify)
     seed_offset: tuple[float, float] = (1e-3, 2e-3)
+
+    def __post_init__(self):
+        if self.span < 1000:
+            raise ValueError("span must be >= 1000 for a meaningful average")
+        if self.burn_in < 0 or min(self.max_period, self.circle_points, self.circle_bins) < 1:
+            raise ValueError("burn_in must be >= 0 and the other counts >= 1")
+        tols = (self.period_tol, self.escape_radius, self.eps_lyap, self.gap_limit_deg)
+        if not all(math.isfinite(v) and v > 0.0 for v in tols):
+            raise ValueError("tolerances and the escape radius must be positive and finite")
+        if not all(math.isfinite(v) for v in self.seed_offset):
+            raise ValueError("seed_offset must be finite")
 
 
 @dataclass(frozen=True)
@@ -278,6 +288,38 @@ def _verify_cycle(p: GhmParams, cycle: np.ndarray) -> tuple[bool, tuple[float, f
     return mods[0] < 1.0, lams
 
 
+def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov) -> AttractorClass:
+    """Circle or undecided verdict for a circle candidate's orbit tail.
+
+    The map and its second and third powers are tried in turn: a
+    flip-symmetric pair of loops needs decimation before the fit.
+    """
+    fails = {}
+    for q in (1, 2, 3):
+        sub = tail[::q][-opts.circle_points :]
+        if len(sub) < 2000:
+            continue
+        try:
+            rep = fit_invariant_circle(sub, p=p, map_power=q, bins=opts.circle_bins,
+                                       gap_limit_deg=opts.gap_limit_deg)
+        except NotACircleError as err:
+            fails[q] = str(err)
+            continue
+        if rep.invariance_residual < 1e-3 * rep.mean_radius:
+            return AttractorClass(
+                "circle",
+                lyapunov=lyapunov,
+                rotation_number=rep.rotation_number,
+                evidence={
+                    "invariance_residual": rep.invariance_residual,
+                    "mean_radius": rep.mean_radius,
+                    "map_power": q,
+                },
+            )
+        fails[q] = f"residual {rep.invariance_residual:.3e} vs radius {rep.mean_radius:.3e}"
+    return AttractorClass("undecided", lyapunov=lyapunov, evidence={"circle_fit": fails})
+
+
 def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | None = None) -> AttractorClass:
     """Long-run attractor verdict at parameter p. Undecided is a verdict."""
     opts = opts or ClassifyOptions()
@@ -320,39 +362,17 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
         return AttractorClass("undecided", lyapunov=(l1, l2),
                               evidence={"note": "contracting, period > max_period?"})
     if l2 < -eps:
-        # neutral along the orbit, contracting transversally: circle candidate.
-        # A flip-symmetric pair of loops needs decimation before the fit.
-        fails = {}
-        for q in (1, 2, 3):
-            sub = tail[:: q] if q > 1 else tail
-            sub = sub[-opts.circle_points :] if len(sub) >= opts.circle_points else sub
-            if len(sub) < 2000:
-                continue
-            try:
-                rep = fit_invariant_circle(sub, p=p, map_power=q,
-                                           bins=opts.circle_bins,
-                                           gap_limit_deg=opts.gap_limit_deg)
-            except NotACircleError as err:
-                fails[q] = str(err)
-                continue
-            if rep.invariance_residual < 1e-3 * rep.mean_radius:
-                return AttractorClass(
-                    "circle",
-                    lyapunov=(l1, l2),
-                    rotation_number=rep.rotation_number,
-                    evidence={
-                        "invariance_residual": rep.invariance_residual,
-                        "mean_radius": rep.mean_radius,
-                        "map_power": q,
-                    },
-                )
-            fails[q] = f"residual {rep.invariance_residual:.3e} vs radius {rep.mean_radius:.3e}"
-        return AttractorClass("undecided", lyapunov=(l1, l2), evidence={"circle_fit": fails})
+        # neutral along the orbit, contracting transversally: circle candidate
+        return _circle_test(tail, p, opts, (l1, l2))
     return AttractorClass("undecided", lyapunov=(l1, l2))
 
 
 # ---------------------------------------------------------------------------
-# grid sweep (batched, deterministic)
+# grid sweep (batched over live cells, deterministic)
+
+# bytes of period-scan tails held at once; rows are scanned in chunks under
+# this cap to bound memory, and no cell depends on the chunking
+_TAIL_BYTES = 2 << 20
 
 
 def _largest_modulus(tr, det):
@@ -362,11 +382,13 @@ def _largest_modulus(tr, det):
     return np.where(real, 0.5 * (np.abs(tr) + sq), np.sqrt(np.maximum(det, 0.0)))
 
 
-def _sweep_block(Ms, Bs, nx, R, i0, i1, opts: ClassifyOptions) -> list[AttractorClass]:
-    idxs = np.arange(i0, i1)
-    M = Ms[idxs % nx].copy()
-    B = Bs[idxs // nx].copy()
-    n = len(idxs)
+def _escaped(x, y, rad):
+    """Cells outside the escape box; nan and inf compare as outside."""
+    return ~((np.abs(x) <= rad) & (np.abs(y) <= rad))
+
+
+def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
+    n = M.size
     rad = opts.escape_radius
 
     # seeding, same policy as classify: attracting fixed point if any,
@@ -390,216 +412,168 @@ def _sweep_block(Ms, Bs, nx, R, i0, i1, opts: ClassifyOptions) -> list[Attractor
     x = np.where(hasfp, xs + dx, 0.0)
     y = np.where(hasfp, xs + dy, 0.0)
 
-    verdict = np.full(n, -1, dtype=np.int8)  # -1 pending, 0 divergent
+    # 0 divergent, 1 sink, 2 chaotic, 3 circle, 4 undecided
+    verdict = np.full(n, 4, dtype=np.int8)
     escape_step = np.zeros(n, dtype=np.int64)
     period = np.zeros(n, dtype=np.int32)
     l1 = np.full(n, np.nan)
     l2 = np.full(n, np.nan)
-    rotation: dict[int, float] = {}  # block-local cell index -> rotation number
-    evid: dict[int, dict] = {}
-
+    fitted: dict[int, AttractorClass] = {}  # circle candidates, by cell index
     live = np.arange(n)
-    step_no = 0
-
-    def _cull(bad):
-        # bad is a mask over live; record divergence and compact
-        nonlocal live, x, y, M, B
-        if bad.any():
-            verdict[live[bad]] = 0
-            escape_step[live[bad]] = step_no
-            keep = ~bad
-            live, x, y, M, B = live[keep], x[keep], y[keep], M[keep], B[keep]
-        return live.size > 0
 
     with np.errstate(all="ignore"):
-        for _ in range(opts.burn_in):
-            step_no += 1
+        for step in range(1, opts.burn_in + 1):
             x, y = y, M - B * x - y * y - R * x * y
-            bad = ~(np.isfinite(x) & np.isfinite(y)) | (np.abs(x) > rad) | (np.abs(y) > rad)
-            if bad.any() and not _cull(bad):
-                break
+            bad = _escaped(x, y, rad)
+            if bad.any():
+                verdict[live[bad]] = 0
+                escape_step[live[bad]] = step
+                keep = ~bad
+                live, x, y, M, B = live[keep], x[keep], y[keep], M[keep], B[keep]
+                if not live.size:
+                    break
 
+        # period scan of a 4*max_period tail, in chunks of rows under
+        # _TAIL_BYTES; a hit verified as an attracting cycle is a sink, every
+        # other cell goes on to the Lyapunov phase
         tail_len = 4 * opts.max_period
-        tails = np.empty((live.size, tail_len, 2)) if live.size else None
-        if live.size:
+        rows_cap = max(1, _TAIL_BYTES // (16 * tail_len))
+        lyap = []
+        for c0 in range(0, live.size, rows_cap):
+            g, cx, cy, cM, cB = (v[c0 : c0 + rows_cap] for v in (live, x, y, M, B))
+            t = np.empty((g.size, tail_len, 2))
             for k in range(tail_len):
-                step_no += 1
-                x, y = y, M - B * x - y * y - R * x * y
-                bad = ~(np.isfinite(x) & np.isfinite(y)) | (np.abs(x) > rad) | (np.abs(y) > rad)
+                cx, cy = cy, cM - cB * cx - cy * cy - R * cx * cy
+                t[:, k, 0] = cx
+                t[:, k, 1] = cy
+                bad = _escaped(cx, cy, rad)
                 if bad.any():
-                    tails[:, k, 0] = x
-                    tails[:, k, 1] = y
-                    tails = tails[~bad]
-                    if not _cull(bad):
+                    verdict[g[bad]] = 0
+                    escape_step[g[bad]] = opts.burn_in + k + 1
+                    keep = ~bad
+                    g, cx, cy, cM, cB, t = g[keep], cx[keep], cy[keep], cM[keep], cB[keep], t[keep]
+                    if not g.size:
                         break
-                else:
-                    tails[:, k, 0] = x
-                    tails[:, k, 1] = y
+            cycles = {}  # chunk row -> its last `period` tail points
+            rows = np.arange(g.size)
+            for k in range(1, opts.max_period + 1):
+                if not rows.size:
+                    break
+                d = t[:, k:] - t[:, :-k]
+                hit = np.abs(d, out=d).max(axis=(1, 2)) < opts.period_tol
+                del d
+                if hit.any():
+                    for r in np.flatnonzero(hit):
+                        cycles[int(rows[r])] = t[r, -k:].copy()
+                    rows, t = rows[~hit], t[~hit]
+            go_on = np.ones(g.size, bool)
+            for r, cyc in cycles.items():
+                ok, lams = _verify_cycle(GhmParams(float(cM[r]), float(cB[r]), R), cyc)
+                if ok and lams[0] < -opts.eps_lyap:
+                    verdict[g[r]] = 1
+                    period[g[r]] = len(cyc)
+                    l1[g[r]], l2[g[r]] = lams
+                    go_on[r] = False
+            lyap.append((g[go_on], cx[go_on], cy[go_on], cM[go_on], cB[go_on]))
 
-    if live.size:
-        # vectorized period scan, then scalar multiplier verification per hit
-        undet = np.ones(live.size, bool)
-        for k in range(1, opts.max_period + 1):
-            if not undet.any():
-                break
-            sel = np.flatnonzero(undet)
-            d = np.abs(tails[sel, k:, :] - tails[sel, :-k, :]).reshape(len(sel), -1).max(axis=1)
-            hit = d < opts.period_tol
-            if hit.any():
-                rows = sel[hit]
-                period[live[rows]] = k
-                undet[rows] = False
-
-        lyap_rows = []
-        for row in range(live.size):
-            k = period[live[row]]
-            if k == 0:
-                lyap_rows.append(row)
-                continue
-            p_cell = GhmParams(float(M[row]), float(B[row]), R)
-            ok, lams = _verify_cycle(p_cell, tails[row, -k:])
-            if ok and lams[0] < -opts.eps_lyap:
-                verdict[live[row]] = 1  # sink
-                l1[live[row]], l2[live[row]] = lams
-            else:
-                period[live[row]] = 0
-                lyap_rows.append(row)
-
-        if lyap_rows:
-            rows = np.array(lyap_rows, dtype=int)
-            lx, ly = x[rows].copy(), y[rows].copy()
-            lM, lB = M[rows].copy(), B[rows].copy()
-            gids = live[rows]
-            v1 = np.full(rows.size, _INV_SQRT2)
-            v2 = np.full(rows.size, _INV_SQRT2)
-            slog = np.zeros(rows.size)
-            sdet = np.zeros(rows.size)
-            alive = np.ones(rows.size, bool)
-            # escape is checked every 16 steps: dead cells run on as zeros and
-            # their accumulators are reset, so nan never reaches a live sum
-            with np.errstate(all="ignore"):
-                s = 0
-                while s < opts.span and alive.any():
-                    m = min(16, opts.span - s)
-                    for _ in range(m):
-                        w2 = (-lB - R * ly) * v1 + (-2.0 * ly - R * lx) * v2
-                        nrm = np.hypot(v2, w2)
+    if lyap:
+        gids, lx, ly, lM, lB = (np.concatenate(v) for v in zip(*lyap))
+        v1 = np.full(gids.size, _INV_SQRT2)
+        v2 = np.full(gids.size, _INV_SQRT2)
+        slog = np.zeros(gids.size)
+        sdet = np.zeros(gids.size)
+        alive = np.ones(gids.size, bool)
+        step_no = opts.burn_in + tail_len
+        # escape is checked every 16 steps: dead cells run on as zeros and
+        # their accumulators are reset, so nan never reaches a live sum.
+        # det DT and R*x are formed once per step: -B - R*y is exactly -det,
+        # so every bit matches the step of lyapunov_exponents
+        with np.errstate(all="ignore"):
+            s = 0
+            while s < opts.span and alive.any():
+                m = min(16, opts.span - s)
+                for _ in range(m):
+                    det = lB + R * ly
+                    rx = R * lx
+                    w2 = (-2.0 * ly - rx) * v2 - det * v1
+                    nrm = np.hypot(v2, w2)
+                    z = None
+                    if not nrm.all():
                         z = nrm == 0.0
-                        if z.any():
-                            slog[z] = -np.inf  # sticky: later finite adds keep it
-                            nrm = np.where(z, 1.0, nrm)
-                        slog += np.log(nrm)
-                        v1, v2 = v2 / nrm, w2 / nrm
-                        if z.any():
-                            v1[z] = 1.0
-                            v2[z] = 0.0
-                        sdet += np.log(np.abs(lB + R * ly))
-                        lx, ly = ly, lM - lB * lx - ly * ly - R * lx * ly
-                    s += m
-                    bad = alive & ~(
-                        np.isfinite(lx) & np.isfinite(ly) & (np.abs(lx) <= rad) & (np.abs(ly) <= rad)
-                    )
+                        slog[z] = -np.inf  # sticky: later finite adds keep it
+                        nrm[z] = 1.0
+                    slog += np.log(nrm)
+                    v1, v2 = v2 / nrm, w2 / nrm
+                    if z is not None:
+                        v1[z] = 1.0
+                        v2[z] = 0.0
+                    sdet += np.log(np.abs(det))
+                    lx, ly = ly, lM - lB * lx - ly * ly - rx * ly
+                s += m
+                bad = alive & _escaped(lx, ly, rad)
+                if bad.any():
+                    verdict[gids[bad]] = 0
+                    escape_step[gids[bad]] = step_no + s
+                    alive &= ~bad
+                    lx[bad] = 0.0
+                    ly[bad] = 0.0
+                    v1[bad] = _INV_SQRT2
+                    v2[bad] = _INV_SQRT2
+                    slog[bad] = 0.0
+                    sdet[bad] = 0.0
+        g1 = slog / opts.span
+        gs = sdet / opts.span
+        g1 = np.maximum(g1, gs - g1)
+        g2 = gs - g1
+        l1[gids[alive]] = g1[alive]
+        l2[gids[alive]] = g2[alive]
+
+        eps = opts.eps_lyap
+        cha = alive & (g1 > eps)
+        verdict[gids[cha]] = 2  # chaotic
+        # alive cells that are neither chaotic nor circle candidates stay
+        # undecided: contracting without a short period, or not transversally
+        # contracting
+        circ_rows = np.flatnonzero(alive & ~cha & ~(g1 < -eps) & (g2 < -eps))
+
+        # circle-candidate tails are recorded in small chunks: 3*circle_points
+        # doubles per cell would be ~0.4 MB each
+        for c0 in range(0, circ_rows.size, 64):
+            chunk = circ_rows[c0 : c0 + 64]
+            m_tail = 3 * opts.circle_points
+            ct = np.empty((chunk.size, m_tail, 2))
+            cx, cy = lx[chunk].copy(), ly[chunk].copy()
+            cM, cB = lM[chunk].copy(), lB[chunk].copy()
+            calive = np.ones(chunk.size, bool)
+            with np.errstate(all="ignore"):
+                for s in range(m_tail):
+                    cx, cy = cy, cM - cB * cx - cy * cy - R * cx * cy
+                    bad = calive & _escaped(cx, cy, rad)
                     if bad.any():
-                        verdict[gids[bad]] = 0
-                        escape_step[gids[bad]] = step_no + s
-                        alive &= ~bad
-                        lx[bad] = 0.0
-                        ly[bad] = 0.0
-                        v1[bad] = _INV_SQRT2
-                        v2[bad] = _INV_SQRT2
-                        slog[bad] = 0.0
-                        sdet[bad] = 0.0
-            g1 = slog / opts.span
-            gs = sdet / opts.span
-            g1 = np.maximum(g1, gs - g1)
-            g2 = gs - g1
-            l1[gids[alive]] = g1[alive]
-            l2[gids[alive]] = g2[alive]
-
-            eps = opts.eps_lyap
-            cha = alive & (g1 > eps)
-            verdict[gids[cha]] = 2  # chaotic
-            und = alive & (g1 < -eps)
-            verdict[gids[und]] = 4  # undecided (contracting, long period)
-            cand = alive & ~cha & ~und
-            circ_rows = np.flatnonzero(cand & (g2 < -eps))
-            und2 = np.flatnonzero(cand & ~(g2 < -eps))
-            verdict[gids[und2]] = 4
-
-            # circle-candidate tails are recorded in small chunks: 3*circle_points
-            # doubles per cell would be ~0.4 MB each, and a block can hold 2048
-            for c0 in range(0, circ_rows.size, 64):
-                chunk = circ_rows[c0 : c0 + 64]
-                m_tail = 3 * opts.circle_points
-                ct = np.empty((chunk.size, m_tail, 2))
-                cx, cy = lx[chunk].copy(), ly[chunk].copy()
-                cM, cB = lM[chunk].copy(), lB[chunk].copy()
-                calive = np.ones(chunk.size, bool)
-                with np.errstate(all="ignore"):
-                    for s in range(m_tail):
-                        cx, cy = cy, cM - cB * cx - cy * cy - R * cx * cy
-                        bad = calive & (~(np.isfinite(cx) & np.isfinite(cy)) | (np.abs(cx) > rad) | (np.abs(cy) > rad))
-                        if bad.any():
-                            verdict[gids[chunk[bad]]] = 0
-                            escape_step[gids[chunk[bad]]] = step_no + opts.span + s + 1
-                            calive &= ~bad
-                            cx[~calive] = 0.0
-                            cy[~calive] = 0.0
-                        ct[:, s, 0] = cx
-                        ct[:, s, 1] = cy
-                for j in np.flatnonzero(calive):
-                    gid = gids[chunk[j]]
-                    p_cell = GhmParams(float(cM[j]), float(cB[j]), R)
-                    got = None
-                    fails = {}
-                    for q in (1, 2, 3):
-                        sub = ct[j, ::q] if q > 1 else ct[j]
-                        sub = sub[-opts.circle_points :]
-                        if len(sub) < 2000:
-                            continue
-                        try:
-                            rep = fit_invariant_circle(sub, p=p_cell, map_power=q,
-                                                       bins=opts.circle_bins,
-                                                       gap_limit_deg=opts.gap_limit_deg)
-                        except NotACircleError as err:
-                            fails[q] = str(err)
-                            continue
-                        if rep.invariance_residual < 1e-3 * rep.mean_radius:
-                            got = (q, rep)
-                            break
-                        fails[q] = f"residual {rep.invariance_residual:.3e}"
-                    if got is not None:
-                        verdict[gid] = 3  # circle
-                        rotation[gid] = got[1].rotation_number
-                        evid[gid] = {
-                            "invariance_residual": got[1].invariance_residual,
-                            "mean_radius": got[1].mean_radius,
-                            "map_power": got[0],
-                        }
-                    else:
-                        verdict[gid] = 4
-                        evid[gid] = {"circle_fit": fails}
+                        verdict[gids[chunk[bad]]] = 0
+                        escape_step[gids[chunk[bad]]] = step_no + opts.span + s + 1
+                        calive &= ~bad
+                        cx[~calive] = 0.0
+                        cy[~calive] = 0.0
+                    ct[:, s, 0] = cx
+                    ct[:, s, 1] = cy
+            for j in np.flatnonzero(calive):
+                r = chunk[j]
+                fitted[int(gids[r])] = _circle_test(ct[j], GhmParams(float(cM[j]), float(cB[j]), R), opts,
+                                               (float(g1[r]), float(g2[r])))
 
     out = []
-    names = {0: "divergent", 1: "sink", 2: "chaotic", 3: "circle", 4: "undecided"}
+    names = ("divergent", "sink", "chaotic", "circle", "undecided")
     for j in range(n):
-        v = int(verdict[j])
-        if v == -1:  # unreachable: every cell is resolved by one branch above
-            v = 4
-        name = names[v]
-        lam = None if (name == "divergent" or math.isnan(l1[j])) else (float(l1[j]), float(l2[j]))
-        ev = evid.get(j, {})
-        if name == "divergent":
-            ev = {"escape_step": int(escape_step[j])}
-        out.append(
-            AttractorClass(
-                name,
-                period=int(period[j]) if name == "sink" else None,
-                lyapunov=lam,
-                rotation_number=rotation.get(j),
-                evidence=ev,
-            )
-        )
+        name = names[verdict[j]]
+        if j in fitted:
+            out.append(fitted[j])
+        elif name == "divergent":
+            out.append(AttractorClass(name, evidence={"escape_step": int(escape_step[j])}))
+        else:
+            lam = None if math.isnan(l1[j]) else (float(l1[j]), float(l2[j]))
+            out.append(AttractorClass(name, period=int(period[j]) if name == "sink" else None,
+                                      lyapunov=lam))
     return out
 
 
@@ -616,24 +590,20 @@ def sweep(
 ) -> SweepGrid:
     """Classify every cell of the inclusive (M, B) grid; row-major by B then M.
 
-    Cells are processed in fixed index blocks; the result is byte-for-byte
-    independent of the thread count.
+    All nx*ny cells run through one phase schedule, compacted to the live
+    cells as orbits escape; only the period-scan tails are chunked, by a fixed
+    byte cap that changes no cell. threads is accepted (it must be >= 1) and
+    has no effect on output or speed: the cost is per numpy call, not per
+    cell, so splitting the cells cannot help.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if not all(math.isfinite(v) for v in (m_min, m_max, b_min, b_max, R)):
+        raise ValueError("grid bounds and R must be finite")
     opts = opts or ClassifyOptions()
     Ms = np.linspace(m_min, m_max, nx)
     Bs = np.linspace(b_min, b_max, ny)
-    total = nx * ny
-    blocks = [(i, min(i + _BLOCK, total)) for i in range(0, total, _BLOCK)]
-
-    def work(blk):
-        return _sweep_block(Ms, Bs, nx, R, blk[0], blk[1], opts)
-
-    if threads <= 1 or len(blocks) == 1:
-        parts = [work(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(work, blocks))
-    cells = tuple(c for part in parts for c in part)
-    return SweepGrid(m_min, m_max, b_min, b_max, nx, ny, R, cells)
+    cells = _sweep_cells(np.tile(Ms, ny), np.repeat(Bs, nx), R, opts)
+    return SweepGrid(m_min, m_max, b_min, b_max, nx, ny, R, tuple(cells))

@@ -141,6 +141,8 @@ def trace_curves(R: float, samples_per_curve: int) -> list[CurveSample]:
     S = samples_per_curve
     if S < 2:
         raise ValueError("need at least 2 samples per curve")
+    if not math.isfinite(R):
+        raise ValueError("R must be finite")
     out: list[CurveSample] = []
     for i in range(S):
         B = -3.0 + 6.0 * i / (S - 1)

@@ -109,6 +109,41 @@ def test_sweep_rejects_empty_rectangle(capsys):
     assert code == 3
 
 
+SWEEP_2X2 = ("sweep", "--m-min", "0", "--m-max", "1", "--b-min", "0", "--b-max", "1",
+             "--nx", "2", "--ny", "2")
+
+
+def test_sweep_rejects_nan_m_min(capsys):
+    code, out, err = run(capsys, *SWEEP_2X2, "--m-min", "nan")
+    assert (code, out) == (3, "")
+    assert "finite" in err
+
+
+def test_sweep_rejects_infinite_m_max(capsys):
+    code, out, err = run(capsys, *SWEEP_2X2, "--m-max", "inf")
+    assert (code, out) == (3, "")
+    assert "finite" in err
+
+
+def test_sweep_rejects_nan_R(capsys):
+    code, out, err = run(capsys, *SWEEP_2X2, "--R", "nan")
+    assert (code, out) == (3, "")
+    assert "finite" in err
+
+
+def test_curves_rejects_nan_R(capsys):
+    code, out, err = run(capsys, "curves", "--R", "nan", "--samples", "3")
+    assert (code, out) == (3, "")
+    assert "finite" in err
+
+
+def test_classify_rejects_short_span_at_a_sink(capsys):
+    # the origin-side sink returns before the Lyapunov phase reads the span
+    code, out, err = run(capsys, "classify", "--M", "0.2", "--B", "0.1", "--span", "5")
+    assert (code, out) == (3, "")
+    assert "span" in err
+
+
 def test_classify_single_row(capsys):
     code, out, _ = run(capsys, "classify", "--M", "0", "--B", "0")
     assert code == 0

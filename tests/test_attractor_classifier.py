@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ghmlab import attractor_classifier
 from ghmlab.attractor_classifier import (
     ClassifyOptions,
     NotACircleError,
@@ -157,3 +158,43 @@ def test_sweep_thread_count_does_not_change_cells():
 def test_sweep_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         sweep(0.0, 1.0, 0.0, 1.0, 1, 5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "burn_in, rows_per_chunk, verdicts",
+    [
+        (3000, 1, {"divergent", "sink", "chaotic"}),
+        (3000, 3, {"divergent", "sink", "chaotic"}),
+        (5, 3, {"divergent", "chaotic", "undecided"}),  # escapes inside the tail phase
+    ],
+)
+def test_sweep_tail_chunking_changes_no_cell(monkeypatch, burn_in, rows_per_chunk, verdicts):
+    # a byte cap of a few rows splits the period scan into many chunks, which
+    # must leave every cell, exponents and evidence included, as one chunk does
+    opts = ClassifyOptions(burn_in=burn_in, span=2000, max_period=32, circle_points=2000)
+    args = (-0.5, 1.4, -0.3, 0.3, 6, 4, 0.0)
+    whole = sweep(*args, opts=opts)
+    assert {c.verdict for c in whole.cells} == verdicts
+    assert sum(c.verdict != "divergent" for c in whole.cells) > 2 * rows_per_chunk
+    monkeypatch.setattr(attractor_classifier, "_TAIL_BYTES", rows_per_chunk * 16 * 4 * opts.max_period)
+    chunked = sweep(*args, opts=opts)
+    assert chunked.cells == whole.cells
+    assert [c.evidence for c in chunked.cells] == [c.evidence for c in whole.cells]
+
+
+def test_sweep_rejects_bad_threads_and_non_finite_input():
+    with pytest.raises(ValueError):
+        sweep(0.0, 1.0, 0.0, 1.0, 2, 2, 0.0, threads=0)
+    for bad in ((math.nan, 1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0, 0.0),
+                (0.0, 1.0, 0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            sweep(*bad[:4], 2, 2, bad[4])
+
+
+def test_classify_options_validation():
+    for kw in ({"span": 999}, {"burn_in": -1}, {"max_period": 0}, {"circle_points": 0},
+               {"circle_bins": 0}, {"period_tol": 0.0}, {"escape_radius": math.inf},
+               {"eps_lyap": math.nan}, {"gap_limit_deg": -1.0}, {"seed_offset": (math.nan, 0.0)}):
+        with pytest.raises(ValueError):
+            ClassifyOptions(**kw)
+    ClassifyOptions(burn_in=0, span=1000, max_period=1)
