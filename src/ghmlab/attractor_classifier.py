@@ -17,6 +17,7 @@ numbers as the two-vector QR scheme).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,42 +118,60 @@ def _as_xy(tail) -> np.ndarray:
 # scalar building blocks
 
 
-def lyapunov_exponents(
-    p: GhmParams,
-    s0: State2,
-    burn_in: int,
-    span: int,
-    escape_radius: float = 1.0e6,
-) -> tuple[float, float]:
+def _orbit(p: GhmParams, x: float, y: float, n: int, rad: float, ys=None, k0: int = 0):
+    """(x, y) after n map steps; each new y is appended to ys when given.
+
+    Step k out of the box |x|, |y| <= rad raises OrbitEscapedError(k0 + k).
+    A step tests its new y alone, since its new x is the y tested a step
+    earlier (or the start y); nan and inf fail the test.
+    """
+    M, B, R = p.M, p.B, p.R
+    if not abs(y) <= rad:
+        raise OrbitEscapedError(k0 + 1)
+    put = None if ys is None else ys.append
+    for k in range(n):
+        x, y = y, M - B * x - y * y - R * x * y
+        if not abs(y) <= rad:
+            raise OrbitEscapedError(k0 + k + 1)
+        if put:
+            put(y)
+    return x, y
+
+
+def lyapunov_exponents(p: GhmParams, s0: State2, burn_in: int, span: int,
+                       escape_radius: float = 1.0e6) -> tuple[float, float]:
     """Both Lyapunov exponents in nats/iterate along the orbit of s0.
 
     Raises OrbitEscapedError if the orbit leaves escape_radius during
-    burn_in + span. A tangent vector annihilated exactly (superstable
-    orbit) short-circuits to (-inf, -inf).
+    burn_in + span, and ValueError for span < 1000, burn_in < 0 or an
+    escape radius that is not positive and finite. A tangent vector
+    annihilated exactly (superstable orbit) short-circuits to (-inf, -inf).
     """
     if span < 1000:
         raise ValueError("span must be >= 1000 for a meaningful average")
+    rad = escape_radius
+    if burn_in < 0 or not (math.isfinite(rad) and rad > 0.0):
+        raise ValueError("burn_in must be >= 0 and the escape radius positive and finite")
+    x, y = _orbit(p, s0.x, s0.y, burn_in, rad)
     M, B, R = p.M, p.B, p.R
-    x, y = s0.x, s0.y
-    for k in range(burn_in):
-        x, y = y, M - B * x - y * y - R * x * y
-        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > escape_radius:
-            raise OrbitEscapedError(k + 1)
-    v1, v2 = _INV_SQRT2, _INV_SQRT2
-    slog = 0.0
-    sdet = 0.0
+    log, hypot, ninf = math.log, math.hypot, -math.inf
+    # det DT = B + R*y and R*x once per step (-B - R*y is exactly -det); det is B at R = 0
+    flat = R == 0.0
+    logb = log(abs(B)) if B != 0.0 else ninf
+    v1 = v2 = _INV_SQRT2
+    slog = sdet = 0.0
     for k in range(span):
-        j21 = -B - R * y
-        w1, w2 = v2, j21 * v1 + (-2.0 * y - R * x) * v2
-        nrm = math.hypot(w1, w2)
-        if nrm == 0.0:
-            return (-math.inf, -math.inf)
-        slog += math.log(nrm)
-        v1, v2 = w1 / nrm, w2 / nrm
         det = B + R * y
-        sdet += math.log(abs(det)) if det != 0.0 else -math.inf
-        x, y = y, M - B * x - y * y - R * x * y
-        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > escape_radius:
+        rx = R * x
+        w2 = (-2.0 * y - rx) * v2 - det * v1
+        nrm = hypot(v2, w2)
+        if nrm == 0.0:
+            return (ninf, ninf)
+        slog += log(nrm)
+        v1, v2 = v2 / nrm, w2 / nrm
+        sdet += logb if flat else (log(abs(det)) if det != 0.0 else ninf)
+        x, y = y, M - B * x - y * y - rx * y
+        if not abs(y) <= rad:
             raise OrbitEscapedError(burn_in + k + 1)
     l1 = slog / span
     s = sdet / span
@@ -187,13 +206,8 @@ def _dist_to_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
-def fit_invariant_circle(
-    orbit_tail,
-    p: GhmParams | None = None,
-    map_power: int = 1,
-    bins: int = 256,
-    gap_limit_deg: float = 10.0,
-) -> CircleReport:
+def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int = 1,
+                         bins: int = 256, gap_limit_deg: float = 10.0) -> CircleReport:
     """Fit a closed polygonal curve to a bounded non-periodic tail.
 
     Points are sorted by angle about their centroid and averaged in angular
@@ -325,21 +339,16 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
     opts = opts or ClassifyOptions()
     if s0 is None:
         s0 = _seed_point(p, opts)
-    M, B, R = p.M, p.B, p.R
     rad = opts.escape_radius
-    x, y = s0.x, s0.y
-    for k in range(opts.burn_in):
-        x, y = y, M - B * x - y * y - R * x * y
-        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > rad:
-            return AttractorClass("divergent", evidence={"escape_step": k + 1})
-
     tail_len = max(4 * opts.max_period, 3 * opts.circle_points)
-    tail = np.empty((tail_len, 2))
-    for k in range(tail_len):
-        x, y = y, M - B * x - y * y - R * x * y
-        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > rad:
-            return AttractorClass("divergent", evidence={"escape_step": opts.burn_in + k + 1})
-        tail[k] = (x, y)
+    try:  # the tail is kept as y only: point k is (y_k, y_k+1), as x_k+1 = y_k
+        x, y = _orbit(p, s0.x, s0.y, opts.burn_in, rad)
+        ys = array("d", (y,))
+        x, y = _orbit(p, x, y, tail_len, rad, ys, opts.burn_in)
+    except OrbitEscapedError as e:
+        return AttractorClass("divergent", evidence={"escape_step": e.step})
+    yv = np.frombuffer(ys)
+    tail = np.column_stack((yv[:-1], yv[1:]))
 
     per = detect_period(tail[-4 * opts.max_period :], opts.max_period, opts.period_tol)
     if per is not None:
@@ -577,17 +586,8 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
     return out
 
 
-def sweep(
-    m_min: float,
-    m_max: float,
-    b_min: float,
-    b_max: float,
-    nx: int,
-    ny: int,
-    R: float,
-    opts: ClassifyOptions | None = None,
-    threads: int = 1,
-) -> SweepGrid:
+def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: int, R: float,
+          opts: ClassifyOptions | None = None, threads: int = 1) -> SweepGrid:
     """Classify every cell of the inclusive (M, B) grid; row-major by B then M.
 
     All nx*ny cells run through one phase schedule, compacted to the live

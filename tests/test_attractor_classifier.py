@@ -5,9 +5,13 @@ import pytest
 
 from ghmlab import attractor_classifier
 from ghmlab.attractor_classifier import (
+    AttractorClass,
     ClassifyOptions,
     NotACircleError,
     OrbitEscapedError,
+    _circle_test,
+    _seed_point,
+    _verify_cycle,
     classify,
     detect_period,
     fit_invariant_circle,
@@ -48,6 +52,13 @@ def test_lyapunov_guards():
         -math.inf,
         -math.inf,
     )
+    # a negative burn-in and an escape radius that is not positive and finite
+    # are refused, not read as "no burn-in" or "no radius"
+    with pytest.raises(ValueError):
+        lyapunov_exponents(GhmParams(0.0, 0.5, 0.0), State2(0.0, 0.0), -1, 1000)
+    for rad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            lyapunov_exponents(GhmParams(0.0, 0.5, 0.0), State2(0.0, 0.0), 10, 1000, rad)
 
 
 def test_detect_period_basics():
@@ -198,3 +209,154 @@ def test_classify_options_validation():
         with pytest.raises(ValueError):
             ClassifyOptions(**kw)
     ClassifyOptions(burn_in=0, span=1000, max_period=1)
+
+
+# ---------------------------------------------------------------------------
+# bitwise reference: the textbook scalar loops of lyapunov_exponents and
+# classify, kept as they stood before their loops were rewritten for speed
+
+
+def _reference_lyapunov_exponents(p, s0, burn_in, span, escape_radius=1.0e6):
+    if span < 1000:
+        raise ValueError("span must be >= 1000 for a meaningful average")
+    M, B, R = p.M, p.B, p.R
+    x, y = s0.x, s0.y
+    for k in range(burn_in):
+        x, y = y, M - B * x - y * y - R * x * y
+        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > escape_radius:
+            raise OrbitEscapedError(k + 1)
+    v1, v2 = attractor_classifier._INV_SQRT2, attractor_classifier._INV_SQRT2
+    slog = 0.0
+    sdet = 0.0
+    for k in range(span):
+        j21 = -B - R * y
+        w1, w2 = v2, j21 * v1 + (-2.0 * y - R * x) * v2
+        nrm = math.hypot(w1, w2)
+        if nrm == 0.0:
+            return (-math.inf, -math.inf)
+        slog += math.log(nrm)
+        v1, v2 = w1 / nrm, w2 / nrm
+        det = B + R * y
+        sdet += math.log(abs(det)) if det != 0.0 else -math.inf
+        x, y = y, M - B * x - y * y - R * x * y
+        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > escape_radius:
+            raise OrbitEscapedError(burn_in + k + 1)
+    l1 = slog / span
+    s = sdet / span
+    if l1 < s - l1:
+        l1 = s - l1
+    return (l1, s - l1)
+
+
+def _reference_classify(p, opts, s0=None):
+    if s0 is None:
+        s0 = _seed_point(p, opts)
+    M, B, R = p.M, p.B, p.R
+    rad = opts.escape_radius
+    x, y = s0.x, s0.y
+    for k in range(opts.burn_in):
+        x, y = y, M - B * x - y * y - R * x * y
+        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > rad:
+            return AttractorClass("divergent", evidence={"escape_step": k + 1})
+
+    tail_len = max(4 * opts.max_period, 3 * opts.circle_points)
+    tail = np.empty((tail_len, 2))
+    for k in range(tail_len):
+        x, y = y, M - B * x - y * y - R * x * y
+        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > rad:
+            return AttractorClass("divergent", evidence={"escape_step": opts.burn_in + k + 1})
+        tail[k] = (x, y)
+
+    per = detect_period(tail[-4 * opts.max_period :], opts.max_period, opts.period_tol)
+    if per is not None:
+        ok, lams = _verify_cycle(p, tail[-per:])
+        if ok and lams[0] < -opts.eps_lyap:
+            return AttractorClass("sink", period=per, lyapunov=lams,
+                                  evidence={"cycle_multiplier_check": True})
+
+    try:
+        l1, l2 = _reference_lyapunov_exponents(p, State2(x, y), 0, opts.span, rad)
+    except OrbitEscapedError as e:
+        return AttractorClass("divergent", evidence={"escape_step": opts.burn_in + tail_len + e.step})
+
+    eps = opts.eps_lyap
+    if l1 > eps:
+        return AttractorClass("chaotic", lyapunov=(l1, l2))
+    if l1 < -eps:
+        return AttractorClass("undecided", lyapunov=(l1, l2),
+                              evidence={"note": "contracting, period > max_period?"})
+    if l2 < -eps:
+        return _circle_test(tail, p, opts, (l1, l2))
+    return AttractorClass("undecided", lyapunov=(l1, l2))
+
+
+def _bits(res):
+    # repr of a float names its bits (but a nan's payload): -0.0, inf and the
+    # last digit all count
+    return repr((res.verdict, res.period, res.lyapunov, res.rotation_number, res.evidence))
+
+
+_SHORT = {"span": 1000, "circle_points": 2000}
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "M, B, R, kw, s0, verdict",
+    [
+        (0.3, 0.0, 0.0, {"burn_in": 100}, None, "sink"),  # B = 0: lambda_2 = -inf
+        (0.6377723349530227, -0.4727221756336475, -0.132944632739536, {}, None, "sink"),  # period 2
+        (1.4, -0.3, 0.0, {}, None, "chaotic"),
+        (1.4, -0.3, 0.0, {"burn_in": 0}, None, "chaotic"),
+        (1.5, 0.0, 0.0, {"burn_in": 100}, None, "chaotic"),  # B = 0 in the Lyapunov loop
+        (1.0882499307464246, -0.4093581291076195, 0.26198589399141053, {}, None, "chaotic"),
+        (0.6391748891482925, 0.9597201140271611, 0.15, {"burn_in": 5000}, None, "circle"),
+        (1.0, 0.0, 0.0, {"burn_in": 2000, "max_period": 1}, None, "undecided"),  # contracting
+        (-0.8702521591076205, 0.9353196603738455, -0.1, {"burn_in": 5000}, None, "undecided"),  # fit
+        (-0.5, 0.0, 0.0, {}, None, "divergent"),  # below the fold, in the burn-in
+        (2.2, 0.0, 0.2, {"burn_in": 100}, None, "divergent"),
+        (1.3, -0.3, 0.1, {"burn_in": 0, "escape_radius": 1.0}, None, "divergent"),  # in the tail
+        (2.0728262279286573, -0.0988746001112405, 0.0,
+         {"burn_in": 10, "max_period": 4, "circle_points": 1, "escape_radius": 2.387107005616576},
+         None, "divergent"),  # in the Lyapunov phase
+        (1.1779633777240053, -0.48784711789787827, 0.14085856837899235,
+         {"burn_in": 10, "max_period": 4, "circle_points": 1, "escape_radius": 2.979566683704893},
+         None, "divergent"),  # in the Lyapunov phase, R != 0
+        (1.4, -0.3, 0.0, {"burn_in": 0}, (0.1, 2.0e6), "divergent"),  # |y| > radius at the start
+        (1.4, -0.3, 0.0, {"burn_in": 100}, (0.1, -2.0e6), "divergent"),
+        (0.5, 0.3, 0.1, {"burn_in": 0}, (_NAN, 0.1), "divergent"),
+        (0.5, 0.3, 0.1, {"burn_in": 100}, (0.1, _NAN), "divergent"),
+        (0.0, 0.0, 0.0, {"burn_in": 0}, (0.0, 0.0), "sink"),
+    ],
+)
+def test_classify_matches_textbook_loops_bitwise(M, B, R, kw, s0, verdict):
+    p = GhmParams(M, B, R)
+    opts = ClassifyOptions(**{**_SHORT, **kw})
+    start = None if s0 is None else State2(*s0)
+    res = classify(p, opts, start)
+    assert res.verdict == verdict
+    assert _bits(res) == _bits(_reference_classify(p, opts, start))
+
+
+def test_lyapunov_matches_textbook_loop_bitwise():
+    # random orbits with small radii escape in the burn-in and in the span;
+    # the fixed ones add R = 0, B = 0, a superstable origin and bad starts
+    rng = np.random.default_rng(5)
+    cases = [((0.0, 0.0, 0.0), (0.0, 0.0), 0, 1.0e6), ((1.5, 0.0, 0.0), (0.1, 0.1), 10, 1.0e6),
+             ((1.4, -0.3, 0.0), (0.1, 2.0e6), 0, 1.0e6), ((1.4, -0.3, 0.0), (_NAN, 0.1), 0, 1.0e6),
+             ((1.4, -0.3, 0.1), (0.1, _NAN), 5, 1.0e6), ((1.4, -0.3, 0.1), (math.inf, 0.1), 0, 1.0e6)]
+    for _ in range(60):
+        R = float(rng.choice([0.0, rng.uniform(-0.3, 0.3)]))
+        cases.append(((rng.uniform(-0.5, 2.3), rng.uniform(-1.0, 1.0), R),
+                      (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+                      int(rng.integers(0, 40)), float(rng.choice([1.0e6, rng.uniform(1.5, 4.0)]))))
+    outcomes = set()
+    for pm, s0, burn_in, rad in cases:
+        got, ref = [], []
+        for f, out in ((lyapunov_exponents, got), (_reference_lyapunov_exponents, ref)):
+            try:
+                out.append(repr(f(GhmParams(*pm), State2(*s0), burn_in, 1000, rad)))
+            except OrbitEscapedError as e:
+                out.append(("escaped", e.step > burn_in, e.step))
+        assert got == ref, (pm, s0, burn_in, rad)
+        outcomes.add(got[0][:2] if isinstance(got[0], tuple) else "exponents")
+    assert outcomes == {"exponents", ("escaped", False), ("escaped", True)}
