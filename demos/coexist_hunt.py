@@ -11,9 +11,9 @@ import numpy as np
 from ghmlab import (
     COEX_COEFFS,
     DEFAULT_SPECTRUM,
+    ReturnMap,
     ReturnMapConfig,
     coexistence_search,
-    return_map,
 )
 from dataclasses import replace
 
@@ -41,7 +41,7 @@ sp = DEFAULT_SPECTRUM
 cf = replace(COEX_COEFFS, mu=hit.mu)
 for n, label in ((10, "sink"), (14, "circle")):
     cfg = ReturnMapConfig(sp, cf, n, hit.phi)
-    T = return_map(cfg)
+    T = ReturnMap(cfg)
     rn = np.array([[np.cos(n * hit.phi), -np.sin(n * hit.phi)],
                    [np.sin(n * hit.phi), np.cos(n * hit.phi)]])
     xc = np.linalg.solve(np.eye(2) - sp.lam**n * (cf.A @ rn), cf.x_plus)

@@ -19,7 +19,6 @@ from .ghm_core import (
     jacobian,
     fixed_points,
     multipliers_at,
-    orbit,
 )
 from .bifurcation_atlas import (
     CurveSample,
@@ -47,6 +46,7 @@ from .attractor_classifier import (
 from .tangency_lab import (
     SaddleSpectrum,
     GlobalMapCoeffs,
+    ReturnMap,
     ReturnMapConfig,
     RescaledParams,
     CoexistenceBox,
@@ -56,7 +56,6 @@ from .tangency_lab import (
     COEX_COEFFS,
     local_map,
     global_map,
-    return_map,
     tangency_jacobian,
     window_base_mu,
     asymptotic_params,

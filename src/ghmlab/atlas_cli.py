@@ -29,8 +29,8 @@ from .tangency_lab import (
     SaddleSpectrum,
     asymptotic_params,
     coexistence_search,
+    fit_exact_map,
     fit_ghm,
-    fit_ghm_series_triples,
     mount_window,
     tangency_jacobian,
     window_invert,
@@ -105,7 +105,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "rescale": {
         "lambda": float,
         "gamma": float,
-        "phi0": float,
         "n": str,
         "target_m": float,
         "target_b": float,
@@ -115,14 +114,13 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "window": {
         "lambda": float,
         "gamma": float,
-        "phi0": float,
         "n": str,
         "target_m": float,
         "target_b": float,
         "out": str,
     },
     "coexist": dict(
-        {"lambda": float, "gamma": float, "phi0": float, "n_sink": int, "n_circle": int, "out": str},
+        {"lambda": float, "gamma": float, "n_sink": int, "n_circle": int, "out": str},
         **_BOX_KEYS,
     ),
 }
@@ -198,9 +196,8 @@ def _parse_n_list(text: str) -> list[int]:
 def _spectrum(args, cfg) -> SaddleSpectrum:
     lam = _resolve(args, cfg, "lambda", DEFAULT_SPECTRUM.lam)
     gamma = _resolve(args, cfg, "gamma", DEFAULT_SPECTRUM.gamma)
-    phi0 = _resolve(args, cfg, "phi0", DEFAULT_SPECTRUM.phi0)
     try:
-        return SaddleSpectrum(lam, phi0, gamma)
+        return SaddleSpectrum(lam, gamma)
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
 
@@ -370,16 +367,6 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _exact_map_fit(p) -> "object":
-    """Self-consistency fit: regress on synthetic data from the planar map
-    itself at the asymptotic parameters, bypassing the 3D return map."""
-    g0 = np.linspace(-0.5, 1.0, 5)
-    g1 = np.linspace(-0.75, 1.25, 41)
-    u0, u1 = (a.ravel() for a in np.meshgrid(g0, g1, indexing="ij"))
-    u2 = p.M - p.B * u0 - u1 * u1 - p.R * u0 * u1
-    return fit_ghm_series_triples(u0, u1, u2)
-
-
 def _cmd_rescale(args) -> int:
     cfg = _load_config(args.config, "rescale")
     sp = _spectrum(args, cfg)
@@ -402,7 +389,7 @@ def _cmd_rescale(args) -> int:
             raise CliError(EXIT_INVALID, str(e))
         try:
             if exact:
-                fit = _exact_map_fit(asym)
+                fit = fit_exact_map(asym)
             else:
                 fit = fit_ghm(mount_window(sp, coeffs, n, target))
         except (FitError, ValueError):
@@ -540,7 +527,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rescale", help="fitted vs asymptotic window parameters")
     p.add_argument("--lambda", dest="lambda", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--phi0", type=float, default=None)
     p.add_argument("--n", type=str, default=None, help="comma-separated return indices")
     p.add_argument("--target-m", dest="target_m", type=float, default=None)
     p.add_argument("--target-b", dest="target_b", type=float, default=None)
@@ -557,7 +543,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("window", help="invert window targets to (mu, phi) and back")
     p.add_argument("--lambda", dest="lambda", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--phi0", type=float, default=None)
     p.add_argument("--n", type=str, default=None)
     p.add_argument("--target-m", dest="target_m", type=float, default=None)
     p.add_argument("--target-b", dest="target_b", type=float, default=None)
@@ -567,7 +552,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("coexist", help="search for coexisting sink + circle windows")
     p.add_argument("--lambda", dest="lambda", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--phi0", type=float, default=None)
     p.add_argument("--n-sink", dest="n_sink", type=int, default=None)
     p.add_argument("--n-circle", dest="n_circle", type=int, default=None)
     common(p)

@@ -105,10 +105,7 @@ class SweepGrid:
 
 
 def _as_xy(tail) -> np.ndarray:
-    if not isinstance(tail, np.ndarray) and len(tail) and isinstance(tail[0], State2):
-        a = np.array([(s.x, s.y) for s in tail], float)
-    else:
-        a = np.asarray(tail, float)
+    a = np.asarray(tail, float)
     if a.ndim != 2 or a.shape[1] != 2:
         raise ValueError("orbit tail must be an (n, 2) array of phase points")
     return a
@@ -404,7 +401,7 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
     # else smallest |x| fixed point, else the origin
     a = 1.0 + R
     b1 = 1.0 + B
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         if a != 0.0:
             disc = b1 * b1 + 4.0 * a * M
             hasfp = disc >= 0.0
@@ -530,10 +527,10 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
                     v2[bad] = _INV_SQRT2
                     slog[bad] = 0.0
                     sdet[bad] = 0.0
-        g1 = slog / opts.span
-        gs = sdet / opts.span
-        g1 = np.maximum(g1, gs - g1)
-        g2 = gs - g1
+            g1 = slog / opts.span
+            gs = sdet / opts.span
+            g1 = np.maximum(g1, gs - g1)  # nan at a superstable cell: -inf - -inf
+            g2 = gs - g1
         l1[gids[alive]] = g1[alive]
         l2[gids[alive]] = g2[alive]
 

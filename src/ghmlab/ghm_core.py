@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ESCAPE_RADIUS = 1.0e6
-
 # moduli within this band of the unit circle count as non-hyperbolic
 UNIT_TOL = 1e-9
 
@@ -65,13 +63,6 @@ class FixedPointReport:
     point: State2
     multipliers: tuple[complex, complex]
     stability: str  # attracting | repelling | saddle | non-hyperbolic
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    points: np.ndarray  # (k, 2); points[0] is the initial state
-    escaped: bool
-    escape_step: int | None
 
 
 def step(p: GhmParams, s: State2) -> State2:
@@ -172,32 +163,3 @@ def fixed_points(p: GhmParams) -> list[FixedPointReport]:
         polished.append(x)
     polished.sort()
     return [_make_report(p, x) for x in polished]
-
-
-def orbit(
-    p: GhmParams,
-    s0: State2,
-    count: int,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-) -> OrbitRecord:
-    """Iterate, recording up to `count` states (the initial one included).
-
-    Stops at the first state with sup-norm beyond escape_radius or with a
-    non-finite coordinate; that state is kept and its index recorded.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if not escape_radius > 0.0:
-        raise ValueError("escape_radius must be positive")
-    pts = np.empty((count, 2))
-    x, y = s0.x, s0.y
-    pts[0] = (x, y)
-    if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > escape_radius:
-        return OrbitRecord(pts[:1].copy(), True, 0)
-    M, B, R = p.M, p.B, p.R
-    for k in range(1, count):
-        x, y = y, M - B * x - y * y - R * x * y
-        pts[k] = (x, y)
-        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > escape_radius:
-            return OrbitRecord(pts[: k + 1].copy(), True, k)
-    return OrbitRecord(pts, False, None)

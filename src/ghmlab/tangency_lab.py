@@ -55,10 +55,9 @@ def rot(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SaddleSpectrum:
-    """Multiplier data of the (2,1) saddle: lam*e^{+-i*phi0} stable, gamma unstable."""
+    """Multiplier data of the (2,1) saddle: lam*e^{+-i*phi} stable, gamma unstable."""
 
     lam: float
-    phi0: float
     gamma: float
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class SaddleSpectrum:
                 f"(got lambda^2*gamma={self.lam**2 * self.gamma:.6g}, "
                 f"lambda*gamma={self.lam * self.gamma:.6g})"
             )
-        if not (0.0 < self.phi0 < math.pi):
-            raise ValueError("phi0 must lie strictly inside (0, pi)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +102,7 @@ class GlobalMapCoeffs:
             raise ValueError("y_minus and mu must be finite")
 
 
-DEFAULT_SPECTRUM = SaddleSpectrum(lam=0.7, phi0=math.pi / 3, gamma=1.8)
+DEFAULT_SPECTRUM = SaddleSpectrum(lam=0.7, gamma=1.8)
 
 DEFAULT_COEFFS = GlobalMapCoeffs(
     x_plus=(0.3, 0.0),
@@ -215,17 +212,21 @@ def tangency_jacobian(coeffs: GlobalMapCoeffs) -> float:
 class ReturnMap:
     """T_n = T1 o T0^n restricted to the sigma_n slice.
 
-    sigma_n membership is checked on the y-coordinate only:
-    |y - gamma^-n y_minus| <= gamma^-n h. T0^n is applied in closed form
-    (lam^n Rot(n phi), gamma^n); the composition is exact, not n substeps.
+    T0^n is applied in closed form (lam^n Rot(n phi), gamma^n); the
+    composition is exact, not n substeps. step() is the batched map in
+    (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n is |w| <= h.
+    Calling the map on one raw (x1, x2, y) state checks sigma_n membership
+    of y, then wraps step().
     """
 
     def __init__(self, config: ReturnMapConfig):
         self.config = config
-        sp, cf = config.spectrum, config.coeffs
-        self.n = config.n
-        self._xfm = sp.lam**config.n * rot(config.n * config.phi)
-        self._gn = sp.gamma**config.n
+        sp, cf, n = config.spectrum, config.coeffs, config.n
+        self.n = n
+        self.lamn, self.gn = sp.lam**n, sp.gamma**n
+        rn = rot(n * config.phi)
+        self.E = self.lamn * (cf.A @ rn)  # x-recursion matrix
+        self._crow = cf.c @ rn
         self.sigma_center = config.sigma_center
         self.sigma_halfwidth = config.sigma_halfwidth
         self._cf = cf
@@ -233,24 +234,22 @@ class ReturnMap:
     def in_sigma(self, y: float) -> bool:
         return abs(y - self.sigma_center) <= self.sigma_halfwidth
 
+    def step(self, X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One return for (m, 2) x-parts X and (m,) exit-box coordinates w."""
+        cf, gn = self._cf, self.gn
+        wn = gn * cf.mu - cf.y_minus + gn * self.lamn * (X @ self._crow) + gn * cf.d * w * w
+        Xn = cf.x_plus[None, :] + X @ self.E.T + w[:, None] * cf.b[None, :]
+        return Xn, wn
+
     def __call__(self, x1, x2, y):
         if not self.in_sigma(y):
             raise SigmaDomainError(
                 f"y={y!r} outside sigma_{self.n} "
                 f"(center {self.sigma_center!r}, half-width {self.sigma_halfwidth!r})"
             )
-        cf = self._cf
-        u1 = self._xfm[0, 0] * x1 + self._xfm[0, 1] * x2
-        u2 = self._xfm[1, 0] * x1 + self._xfm[1, 1] * x2
-        w = self._gn * y - cf.y_minus
-        xp1 = cf.x_plus[0] + cf.A[0, 0] * u1 + cf.A[0, 1] * u2 + cf.b[0] * w
-        xp2 = cf.x_plus[1] + cf.A[1, 0] * u1 + cf.A[1, 1] * u2 + cf.b[1] * w
-        yp = cf.mu + cf.c[0] * u1 + cf.c[1] * u2 + cf.d * w * w
-        return (xp1, xp2, yp)
-
-
-def return_map(config: ReturnMapConfig) -> ReturnMap:
-    return ReturnMap(config)
+        ym = self._cf.y_minus
+        X, w = self.step(np.array([[x1, x2]], dtype=float), np.array([self.gn * y - ym]))
+        return (float(X[0, 0]), float(X[0, 1]), float((w[0] + ym) / self.gn))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +257,8 @@ def return_map(config: ReturnMapConfig) -> ReturnMap:
 
 
 def _cb_phase(coeffs: GlobalMapCoeffs) -> tuple[float, float]:
-    # c^T Rot(t) b = K cos(t - chi)
-    dot = float(coeffs.c @ coeffs.b)
-    cross = coeffs.c[1] * coeffs.b[0] - coeffs.c[0] * coeffs.b[1]
-    return math.hypot(dot, cross), math.atan2(cross, dot)
+    """(c.b, c x b): c^T Rot(t) b = c.b cos(t) + c x b sin(t)."""
+    return float(coeffs.c @ coeffs.b), coeffs.c[1] * coeffs.b[0] - coeffs.c[0] * coeffs.b[1]
 
 
 def window_base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi: float) -> float:
@@ -293,8 +290,11 @@ def asymptotic_params(
     if n < 1:
         raise ValueError("n must be >= 1")
     g, lg, l2g = spectrum.gamma, spectrum.lam * spectrum.gamma, spectrum.lam**2 * spectrum.gamma
-    M = g ** (2 * n) * mu
-    B = lg**n * math.cos(n * phi)
+    try:
+        M = g ** (2 * n) * mu
+        B = lg**n * math.cos(n * phi)
+    except OverflowError:
+        raise ValueError(f"gamma^2n overflows at return index n={n}") from None
     if abs(B) < excluded_radius:
         raise ValueError(
             f"|B|={abs(B):.6g} inside the excluded ball (radius {excluded_radius:g}); "
@@ -353,7 +353,8 @@ def mount_window(
     """
     window_invert(spectrum, n, target, excluded_radius)  # shared validation
     M_t, B_t = float(target[0]), float(target[1])
-    K, chi = _cb_phase(coeffs)
+    dot, cross = _cb_phase(coeffs)
+    K, chi = math.hypot(dot, cross), math.atan2(cross, dot)  # c^T Rot(t) b = K cos(t - chi)
     lg = spectrum.lam * spectrum.gamma
     v = -B_t / (K * lg**n)
     if abs(v) > 1.0:
@@ -431,24 +432,41 @@ def fit_ghm_series(series) -> RescaledParams:
     return RescaledParams(M, B, R, "fitted", residual=res)
 
 
-def _run_return_orbits(config: ReturnMapConfig, X0: np.ndarray, W0: np.ndarray, returns: int):
+def _delay_grid() -> tuple[np.ndarray, np.ndarray]:
+    """fit_ghm's default seeds: a 5x41 grid in the rescaled delay pair (u_prev, u_now)."""
+    UP, UN = np.meshgrid(np.linspace(-0.5, 1.0, 5), np.linspace(-0.75, 1.25, 41), indexing="ij")
+    return UP.ravel(), UN.ravel()
+
+
+def fit_exact_map(p: RescaledParams) -> RescaledParams:
+    """Self-consistency fit: regress on values of the planar map at p itself
+    over fit_ghm's default seed grid, bypassing the 3D return map."""
+    u0, u1 = _delay_grid()
+    M, B, R, res = _fit_triples(u0, u1, p.M - p.B * u0 - u1 * u1 - p.R * u0 * u1)
+    return RescaledParams(M, B, R, "fitted", residual=res)
+
+
+def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
+    """(X, w) seeds of T_n on its attracting manifold at rescaled delay pairs
+    (u_prev, u_now): X is the constant-w manifold point
+    (I - lam^n A Rot(n phi))^-1 (x_plus + b w_prev), with u = -d gamma^n w."""
+    cf = T.config.coeffs
+    w_prev = -u_prev / (cf.d * T.gn)
+    rhs = cf.x_plus[None, :] + w_prev[:, None] * cf.b[None, :]
+    return np.linalg.solve(np.eye(2) - T.E, rhs.T).T, -u_now / (cf.d * T.gn)
+
+
+def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int):
     """Iterate T_n from a batch of sigma_n seeds in (x, w) coordinates.
 
-    w = gamma^n y - y_minus is the exit-box coordinate; |w| <= h is the
-    sigma_n condition. Returns the u-history (u = -d gamma^n w) and the
-    number of valid returns per orbit (first exit from sigma_n or from the
-    rescaled window |u| <= U_ESCAPE truncates the orbit).
+    Returns the u-history (u = -d gamma^n w) and the number of valid returns
+    per orbit (first exit from sigma_n, |w| <= h, or from the rescaled
+    window |u| <= U_ESCAPE truncates the orbit).
     """
-    sp, cf, n = config.spectrum, config.coeffs, config.n
-    lamn, gn = sp.lam**n, sp.gamma**n
-    rn = rot(n * config.phi)
-    E = lamn * (cf.A @ rn)  # x-recursion matrix
-    crow = cf.c @ rn
-    scale = -cf.d * gn
-
-    m = len(W0)
-    X = X0.copy()
-    w = W0.copy()
+    h = T.config.h
+    scale = -T.config.coeffs.d * T.gn
+    X = X.copy()  # C order: the rounding of X @ E.T depends on the memory layout
+    m = len(w)
     u_hist = np.full((m, returns + 1), np.nan)
     u_hist[:, 0] = scale * w
     valid = np.full(m, returns, dtype=int)
@@ -456,12 +474,10 @@ def _run_return_orbits(config: ReturnMapConfig, X0: np.ndarray, W0: np.ndarray, 
     for k in range(returns):
         if not alive.any():
             break
-        wn = gn * cf.mu - cf.y_minus + gn * lamn * (X @ crow) + gn * cf.d * w * w
-        Xn = cf.x_plus[None, :] + X @ E.T + w[:, None] * cf.b[None, :]
-        X, w = Xn, wn
+        X, w = T.step(X, w)
         u = scale * w
         u_hist[alive, k + 1] = u[alive]
-        out = alive & ((np.abs(w) > config.h) | (np.abs(u) > U_ESCAPE) | ~np.isfinite(w))
+        out = alive & ((np.abs(w) > h) | (np.abs(u) > U_ESCAPE) | ~np.isfinite(w))
         if out.any():
             valid[out] = k + 1
             alive &= ~out
@@ -492,35 +508,23 @@ def fit_ghm(
     excitation the fit needs at sink windows). Orbits leaving sigma_n or the
     rescaled window are truncated at the exit.
     """
-    sp, cf, n = config.spectrum, config.coeffs, config.n
     if returns - discard < 10:
         raise ValueError("need at least 10 recorded returns after the discard")
-    gn = sp.gamma**n
-    lamn = sp.lam**n
-    rn = rot(n * config.phi)
-    res_m = np.eye(2) - lamn * (cf.A @ rn)
-
+    T = ReturnMap(config)
     if sample_grid is None:
-        u_prev = np.linspace(-0.5, 1.0, 5)
-        u_now = np.linspace(-0.75, 1.25, 41)
-        UP, UN = np.meshgrid(u_prev, u_now, indexing="ij")
-        up, un = UP.ravel(), UN.ravel()
-        w_prev = -up / (cf.d * gn)
-        W0 = -un / (cf.d * gn)
-        rhs = cf.x_plus[None, :] + w_prev[:, None] * cf.b[None, :]
-        X0 = np.linalg.solve(res_m, rhs.T).T
+        X0, W0 = _manifold_seed(T, *_delay_grid())
     else:
         g = np.asarray(sample_grid, dtype=float)
         if g.ndim != 2 or g.shape[1] != 3:
             raise ValueError("sample_grid must be an (m, 3) array of (x1, x2, y) states")
-        W0 = gn * g[:, 2] - cf.y_minus
+        W0 = T.gn * g[:, 2] - config.coeffs.y_minus
         if np.any(np.abs(W0) > config.h):
             raise SigmaDomainError("sample_grid contains states outside the sigma_n slice")
-        X0 = g[:, :2].copy()
+        X0 = g[:, :2]
     if len(W0) < 200:
         raise ValueError("need a seed grid of at least 200 states in sigma_n")
 
-    u_hist, valid = _run_return_orbits(config, X0, W0, returns)
+    u_hist, valid = _run_return_orbits(T, X0, W0, returns)
 
     rows0, rows1, rows2 = [], [], []
     for i in range(len(W0)):
@@ -540,14 +544,6 @@ def fit_ghm(
     if len(u0) < 200:
         raise FitError(f"only {len(u0)} in-window sample triples; need at least 200")
     M, B, R, res = _fit_triples(u0, u1, u2)
-    return RescaledParams(M, B, R, "fitted", residual=res)
-
-
-def fit_ghm_series_triples(u0, u1, u2) -> RescaledParams:
-    """Fit from explicit delay triples (advanced entry point)."""
-    M, B, R, res = _fit_triples(
-        np.asarray(u0, float), np.asarray(u1, float), np.asarray(u2, float)
-    )
     return RescaledParams(M, B, R, "fitted", residual=res)
 
 
@@ -624,42 +620,25 @@ def _vector_base_mu(spectrum, coeffs, n, phis):
     return spectrum.gamma ** (-n) * coeffs.y_minus - lamn * (c1 * x1 + c2 * x2)
 
 
-def _confirm_sink_orbit(config: ReturnMapConfig, u_fp_guess: float = 0.0) -> bool:
+def _orbit_tail(config: ReturnMapConfig, returns: int, keep: int) -> np.ndarray | None:
+    """Last `keep` u-values of one T_n orbit seeded on the manifold at u = 0,
+    or None when it leaves sigma_n or the rescaled window within `returns`."""
+    T = ReturnMap(config)
+    u = np.zeros(1)
+    u_hist, valid = _run_return_orbits(T, *_manifold_seed(T, u, u), returns)
+    return u_hist[0, -keep:] if valid[0] == returns else None
+
+
+def _confirm_sink_orbit(config: ReturnMapConfig) -> bool:
     """Direct check: the T_n orbit seeded in sigma_n settles to a fixed return."""
-    u_hist, valid = _run_return_orbits(
-        config,
-        _manifold_seed(config, np.array([u_fp_guess])),
-        np.array([-u_fp_guess / (config.coeffs.d * config.spectrum.gamma**config.n)]),
-        400,
-    )
-    if valid[0] < 400:
-        return False
-    tail = u_hist[0, -20:]
-    return bool(np.max(np.abs(np.diff(tail))) < 1e-8)
-
-
-def _manifold_seed(config: ReturnMapConfig, u_prev: np.ndarray) -> np.ndarray:
-    sp, cf, n = config.spectrum, config.coeffs, config.n
-    lamn = sp.lam**n
-    rn = rot(n * config.phi)
-    res_m = np.eye(2) - lamn * (cf.A @ rn)
-    w_prev = -u_prev / (cf.d * sp.gamma**n)
-    rhs = cf.x_plus[None, :] + w_prev[:, None] * cf.b[None, :]
-    return np.linalg.solve(res_m, rhs.T).T
+    tail = _orbit_tail(config, 400, 20)
+    return tail is not None and bool(np.max(np.abs(np.diff(tail))) < 1e-8)
 
 
 def _confirm_circle_orbit(config: ReturnMapConfig, min_returns: int = 1000) -> bool:
     """Direct check: a T_n orbit stays in sigma_n >= min_returns without locking."""
-    u_hist, valid = _run_return_orbits(
-        config,
-        _manifold_seed(config, np.array([0.0])),
-        np.array([0.0]),
-        min_returns,
-    )
-    if valid[0] < min_returns:
-        return False
-    tail = u_hist[0, -64:]
-    return bool(np.max(np.abs(np.diff(tail))) > 1e-6)  # not collapsed to a point
+    tail = _orbit_tail(config, min_returns, 64)
+    return tail is not None and bool(np.max(np.abs(np.diff(tail))) > 1e-6)  # not collapsed to a point
 
 
 def coexistence_search(
@@ -683,6 +662,8 @@ def coexistence_search(
     """
     if n_sink == n_circle:
         raise ValueError("n_sink and n_circle must differ")
+    if min(n_sink, n_circle) < 1:
+        raise ValueError("return indices n_sink and n_circle must be >= 1")
     if box is None:
         box = CoexistenceBox()
     sp, cf = spectrum, coeffs
@@ -691,12 +672,15 @@ def coexistence_search(
     ns, nc = n_sink, n_circle
 
     phis = np.linspace(box.phi_lo, box.phi_hi, box.phi_steps)
-    dot = float(cf.c @ cf.b)
-    cross = cf.c[1] * cf.b[0] - cf.c[0] * cf.b[1]
+    dot, cross = _cb_phase(cf)
 
     def b_eff(n):
         th = n * phis
-        return -(lg**n) * (dot * np.cos(th) + cross * np.sin(th))
+        try:
+            amp = lg**n
+        except OverflowError:
+            raise ValueError(f"(lam*gamma)^n overflows at return index n={n}") from None
+        return -amp * (dot * np.cos(th) + cross * np.sin(th))
 
     B_s, B_c = b_eff(ns), b_eff(nc)
     R_c = np.where(B_c != 0.0, 2.0 * j1 * l2g**nc / np.where(B_c == 0.0, 1.0, B_c), np.inf)

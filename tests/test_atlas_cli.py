@@ -287,3 +287,38 @@ def test_usage_errors_exit_3(capsys):
     assert run(capsys, "no-such-command")[0] == 3
     assert run(capsys, "curves", "--samples", "lots")[0] == 3
     assert run(capsys, "rescale", "--n", "8,0")[0] == 3
+
+
+def test_phi0_flag_and_config_key_are_gone(tmp_path, capsys):
+    for cmd in ("window", "rescale", "coexist"):
+        code, _, err = run(capsys, cmd, "--phi0", "0.5", "--target-m", "1", "--target-b", "0.5")
+        assert code == 3
+        assert "--phi0" in err
+        ini = tmp_path / f"{cmd}.ini"
+        ini.write_text(f"[{cmd}]\nphi0 = 0.5\n")
+        code, _, err = run(capsys, cmd, "--config", str(ini))
+        assert code == 3
+        assert "unknown key 'phi0'" in err
+
+
+def test_window_overflowing_n_exits_3(capsys):
+    code, _, err = run(capsys, "window", "--n", "100000", "--target-m", "1", "--target-b", "0.5")
+    assert code == 3
+    assert "Traceback" not in err
+
+
+def test_rescale_overflowing_n_exits_3(capsys):
+    code, _, err = run(capsys, "rescale", "--n", "100000")
+    assert code == 3
+    assert "Traceback" not in err
+
+
+def test_coexist_overflowing_n_exits_3(capsys):
+    code, _, err = run(capsys, "coexist", "--n-circle", "100000")
+    assert code == 3
+    assert "Traceback" not in err
+
+
+def test_coexist_rejects_return_index_below_one(capsys):
+    assert run(capsys, "coexist", "--n-sink", "0")[0] == 3
+    assert run(capsys, "coexist", "--n-circle", "-3")[0] == 3

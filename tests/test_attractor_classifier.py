@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,19 @@ def test_sweep_rejects_bad_threads_and_non_finite_input():
                 (0.0, 1.0, 0.0, 1.0, math.nan)):
         with pytest.raises(ValueError):
             sweep(*bad[:4], 2, 2, bad[4])
+
+
+def test_sweep_emits_no_runtime_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # superstable cell (1, 0): the tangent vector is annihilated, so both
+        # exponent sums are -inf and their difference nan
+        opts = ClassifyOptions(max_period=1, span=1000, burn_in=2000, circle_points=2000)
+        cell = sweep(0.999, 1.0, -1e-9, 0.0, 2, 2, 0.0, opts).cells[-1]
+        assert (cell.verdict, cell.lyapunov) == ("undecided", None)
+        # b1*b1 + 4*a*M overflows in the fixed-point seeding
+        grid = sweep(-0.5, 1e308, -1.0, 1.0, 2, 2, 0.0)
+        assert [c.verdict for c in grid.cells[1::2]] == ["divergent", "divergent"]
 
 
 def test_classify_options_validation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ghmlab.attractor_classifier import OrbitEscapedError, _orbit
 from ghmlab.ghm_core import (
     DegenerateLineError,
     GhmParams,
@@ -10,7 +11,6 @@ from ghmlab.ghm_core import (
     fixed_points,
     jacobian,
     multipliers_at,
-    orbit,
     step,
 )
 
@@ -143,26 +143,31 @@ def test_multiplier_ordering():
     assert abs(m1.imag) < 1e-15 and m1.real < 0 < m2.real  # arg pi beats arg 0
 
 
-def test_orbit_fixed_point_and_escape():
-    rec = orbit(GhmParams(0, 0, 0), State2(0, 0), 10)
-    assert rec.points.shape == (10, 2)
-    assert not rec.escaped
-    assert np.all(rec.points == 0.0)
+# the scalar orbit loop is attractor_classifier._orbit: it returns the end
+# state, appends each new y to ys, and raises OrbitEscapedError(step) on escape
 
-    rec = orbit(GhmParams(-1.0, 0.0, 0.0), State2(0.0, 0.0), 10_000, escape_radius=1e6)
-    assert rec.escaped
-    assert rec.escape_step is not None
-    assert np.isfinite(rec.points[:-1]).all()
+
+def test_orbit_fixed_point_and_escape():
+    ys = []
+    assert _orbit(GhmParams(0, 0, 0), 0.0, 0.0, 9, 1e6, ys) == (0.0, 0.0)
+    assert ys == [0.0] * 9
+
+    ys = []
+    with pytest.raises(OrbitEscapedError) as err:
+        _orbit(GhmParams(-1.0, 0.0, 0.0), 0.0, 0.0, 10_000, 1e6, ys)
+    assert 1 <= err.value.step <= 10_000
+    assert len(ys) == err.value.step - 1  # the escaping y is not recorded
+    assert np.isfinite(ys).all() and np.abs(ys).max() <= 1e6
 
 
 def test_orbit_period_two_above_flip():
     # B = R = 0 reduces to ybar = M - y**2; at M = 1 the 1D map has an
     # attracting 2-cycle {0, 1}
-    rec = orbit(GhmParams(1.0, 0.0, 0.0), State2(0.0, 0.1), 5000)
-    assert not rec.escaped
-    ys = rec.points[-20:, 1]
+    ys = []
+    _orbit(GhmParams(1.0, 0.0, 0.0), 0.0, 0.1, 4999, 1e6, ys)
+    tail = np.array(ys[-20:])
     tgt = np.tile([0.0, 1.0], 10)
-    assert min(np.abs(ys - tgt).max(), np.abs(ys - np.roll(tgt, 1)).max()) < 1e-8
+    assert min(np.abs(tail - tgt).max(), np.abs(tail - np.roll(tgt, 1)).max()) < 1e-8
 
 
 def test_orbit_reduces_to_1d_map_when_B_and_R_vanish():
@@ -170,13 +175,15 @@ def test_orbit_reduces_to_1d_map_when_B_and_R_vanish():
     for _ in range(50):
         M = rng.uniform(-0.2, 1.9)
         y0 = rng.uniform(-0.5, 0.5)
-        rec = orbit(GhmParams(M, 0.0, 0.0), State2(rng.uniform(-1, 1), y0), 200)
+        ys = [y0]
+        try:
+            _orbit(GhmParams(M, 0.0, 0.0), rng.uniform(-1, 1), y0, 199, 1e6, ys)
+        except OrbitEscapedError:
+            pass
         y = y0
-        for k in range(len(rec.points)):
-            assert abs(rec.points[k, 1] - y) <= 1e-12 * max(1.0, abs(y))
+        for got in ys:
+            assert abs(got - y) <= 1e-12 * max(1.0, abs(y))
             y = M - y * y
-            if not math.isfinite(y) or abs(y) > 1e6:
-                break
 
 
 def test_params_reject_non_finite():
