@@ -5,6 +5,8 @@ flip / circle-birth curves above; everything below the fold diverges.
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 from ghmlab import curve_L_minus, curve_L_plus, sweep
 from ghmlab.atlas_cli import main as cli
@@ -32,13 +34,15 @@ p = grid.params_at(NX // 2, NY // 2)
 lo, hi = curve_L_plus(p.B, R), curve_L_minus(p.B, R)
 print(f"\ncentre cell ({p.M:.3f}, {p.B:.3f}): fold at M={lo:.3f}, flip at M={hi:.3f}")
 
-# same rectangle through the command line, with the SVG overlay of the curves
-rc = cli(
-    [
-        "sweep", "--m-min", "-2", "--m-max", "4", "--b-min", "-1.5", "--b-max", "1.5",
-        "--nx", "72", "--ny", "24", "--R", str(R),
-        "--out", "sweep_demo.csv", "--svg", "sweep_demo.svg",
-    ]
-)
-print(f"\ncli sweep exit {rc}; wrote sweep_demo.csv and sweep_demo.svg")
+# same rectangle through the command line, with the SVG overlay of the
+# curves; the files go to a temporary directory that is removed on exit
+with tempfile.TemporaryDirectory() as tmp:
+    rc = cli(
+        [
+            "sweep", "--m-min", "-2", "--m-max", "4", "--b-min", "-1.5", "--b-max", "1.5",
+            "--nx", "72", "--ny", "24", "--R", str(R),
+            "--out", str(Path(tmp, "sweep_demo.csv")), "--svg", str(Path(tmp, "sweep_demo.svg")),
+        ]
+    )
+print(f"\ncli sweep exit {rc}; wrote sweep_demo.csv and sweep_demo.svg to a temporary directory")
 sys.exit(rc)

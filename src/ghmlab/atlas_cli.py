@@ -161,6 +161,8 @@ def _load_config(path: str | None, command: str) -> dict:
                         raise ValueError(f"not a boolean: {raw!r}")
                 else:
                     got[key] = typ(raw)
+                if typ is float and not math.isfinite(got[key]):
+                    raise ValueError(f"not finite: {raw!r}")
             except ValueError as e:
                 raise CliError(EXIT_INVALID, f"bad value for '{key}' in [{command}]: {e}")
     return got
@@ -215,6 +217,8 @@ def _cmd_curves(args) -> int:
         rows = trace_curves(R, samples)
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
+    if not all(math.isfinite(s.M) and math.isfinite(s.B) for s in rows):
+        raise CliError(EXIT_INVALID, f"R={R!r} puts curve samples out of floating-point range")
     lines = ["curve,param,M,B,R"]
     for s in rows:
         lines.append(
@@ -413,6 +417,11 @@ def _cmd_rescale(args) -> int:
     return EXIT_OK
 
 
+# a window row whose round trip misses its target by more than this
+# (relative, about half the digits of a double) is refused, not printed
+_ROUND_TRIP_TOL = 1e-8
+
+
 def _cmd_window(args) -> int:
     cfg = _load_config(args.config, "window")
     sp = _spectrum(args, cfg)
@@ -429,6 +438,9 @@ def _cmd_window(args) -> int:
         except ValueError as e:
             raise CliError(EXIT_INVALID, str(e))
         err = max(abs(back.M - tm), abs(back.B - tb))
+        if not err <= _ROUND_TRIP_TOL * max(1.0, abs(tm), abs(tb)):
+            raise CliError(EXIT_INVALID, f"n={n}: the round trip misses the target by {err:.3g}: "
+                           "(lam*gamma)^n magnifies the rounding of phi")
         lines.append(
             f"{n},{_fmt(tm)},{_fmt(tb)},{_fmt(mu)},{_fmt(phi)},"
             f"{_fmt(back.M)},{_fmt(back.B)},{_fmt(err)}"

@@ -9,9 +9,13 @@ tree in one pass batched over the live cells; its output is a pure
 function of the grid spec. Its threads argument is accepted and has no
 effect on output or speed.
 
-Exponent convention: lambda_1 from tangent-vector growth with per-step
-renormalization, lambda_2 = <ln|det DT|> - lambda_1 (exact in 2D, same
-numbers as the two-vector QR scheme).
+Exponent convention: lambda_1 from tangent-vector growth, lambda_2 =
+<ln|det DT|> - lambda_1 (exact in 2D, same numbers as the two-vector QR
+scheme). classify renormalizes the tangent vector every step. sweep records
+orbit windows and renormalizes once per product of 16 consecutive Jacobians
+(Benettin et al., Meccanica 15, 1980); its orbits, escape steps and verdicts
+are those of a step-by-step loop, and its exponents differ from one only in
+the last digits.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .ghm_core import DegenerateLineError, GhmParams, State2, eig2, fixed_points
 VERDICTS = ("sink", "circle", "chaotic", "divergent", "undecided")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_LOG_HUGE = -math.log(np.finfo(float).tiny)  # |log| of a normal double is below this
 
 
 class OrbitEscapedError(RuntimeError):
@@ -379,6 +384,12 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
 # bytes of period-scan tails held at once; rows are scanned in chunks under
 # this cap to bound memory, and no cell depends on the chunking
 _TAIL_BYTES = 2 << 20
+# the Lyapunov phase records orbit windows of _LYAP_WINDOW steps and
+# renormalises the tangent vector once per _LYAP_BLOCK steps, for chunks of
+# at most _LYAP_CELLS cells (about 13 kB of window buffers per cell)
+_LYAP_WINDOW = 512
+_LYAP_BLOCK = 16
+_LYAP_CELLS = 1024
 
 
 def _largest_modulus(tr, det):
@@ -391,6 +402,106 @@ def _largest_modulus(tr, det):
 def _escaped(x, y, rad):
     """Cells outside the escape box; nan and inf compare as outside."""
     return ~((np.abs(x) <= rad) & (np.abs(y) <= rad))
+
+
+def _block_products(a, d):
+    """Entries (p, q, r, t) of J_k-1 ... J_0 for J_j = [[0, 1], [-d_j, a_j]].
+
+    a and d are (blocks, k, n): j runs along axis 1, and every block and
+    cell is multiplied at once. Row 1 of a product is row 2 of the one before.
+    """
+    shape = (a.shape[0], a.shape[2])
+    p, q, r, t = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    for j in range(a.shape[1]):
+        aj, dj = a[:, j], d[:, j]
+        p, q, r, t = r, t, aj * r - dj * p, aj * t - dj * q
+    return p, q, r, t
+
+
+def _lyapunov_windows(x, y, M, B, R, span, rad):
+    """Exponent sums over span map steps from (x, y), one cell per element.
+
+    Each window of _LYAP_WINDOW recorded steps is cut into _LYAP_BLOCK-step
+    Jacobian products (the span's last block keeps its shorter length), and
+    the tangent vector is renormalized after each product. Returns (slog,
+    sdet, x, y, esc): sums of log block norm and of log|det DT|, the end
+    state, and the step after which a cell was first outside rad (0 if
+    never), tested at block ends as the step loop did. slog is nan when a
+    block norm is not a normal double: an annihilated tangent vector, or a
+    product that under- or overflowed (mean |det DT| below ~1e-38, or
+    entries above ~1e19). A cell's sums run in an order set by its own data.
+    """
+    n = x.size
+    out = [np.full(n, np.nan) for _ in range(4)]
+    esc = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    v1 = np.full(n, _INV_SQRT2)
+    v2 = np.full(n, _INV_SQRT2)
+    slog = np.zeros(n)
+    sdet = np.zeros(n)
+    W, K = _LYAP_WINDOW, _LYAP_BLOCK
+    m = 0
+    s = 0
+    while s < span and live.size:
+        if m != live.size:  # window buffers, allocated again after escapes
+            m = live.size
+            Y, det, a = np.empty((W + 2, m)), np.empty((W, m)), np.empty((W, m))
+            rows, T = list(Y), np.empty(m)
+            N = np.empty((W // K + 2, m))
+        w = min(W, span - s)
+        Yw = Y[: w + 2]  # x_j = Yw[j], y_j = Yw[j + 1]
+        Yw[0], Yw[1] = x, y
+        for xk, yk, nxt in zip(rows, rows[1:], rows[2 : w + 2]):
+            np.multiply(B, xk, nxt)  # M - B*x - y*y - R*x*y, in this order
+            np.subtract(M, nxt, nxt)
+            np.multiply(yk, yk, T)
+            np.subtract(nxt, T, nxt)
+            np.multiply(R, xk, T)
+            np.multiply(T, yk, T)
+            np.subtract(nxt, T, nxt)
+        x, y = Yw[w].copy(), Yw[w + 1].copy()
+        dw, aw = det[:w], a[:w]
+        np.multiply(Yw[:w], R, aw)
+        np.multiply(Yw[1:-1], -2.0, dw)
+        np.subtract(dw, aw, aw)  # -2y - R x
+        np.multiply(Yw[1:-1], R, dw)
+        np.add(dw, B, dw)
+        nb, rem = divmod(w, K)
+        blocks = list(zip(*_block_products(aw[: nb * K].reshape(nb, K, m),
+                                           dw[: nb * K].reshape(nb, K, m))))
+        if rem:
+            blocks += zip(*_block_products(aw[nb * K :].reshape(1, rem, m),
+                                           dw[nb * K :].reshape(1, rem, m)))
+        Nw = N[: len(blocks) + 1]
+        Nw[0] = slog
+        for b, (p, q, r, t) in enumerate(blocks, 1):
+            w1 = p * v1 + q * v2
+            w2 = r * v1 + t * v2
+            nrm = np.hypot(w1, w2, out=Nw[b])
+            v1, v2 = w1 / nrm, w2 / nrm
+        # a norm outside the normal range has no usable log: 0 for an
+        # annihilated tangent vector, subnormal or inf for a product that
+        # under- or overflowed; nan stays sticky in the step-order sum
+        lg = np.log(Nw[1:], out=Nw[1:])
+        lg[~(np.abs(lg) < _LOG_HUGE)] = np.nan
+        slog = np.add.accumulate(Nw, axis=0)[-1]
+        # log|det| goes to a's spent buffer one row per cell, so every cell
+        # gets the pairwise sum of its own row whatever the batch
+        ld = aw.reshape(m, w)
+        np.abs(dw.T, out=ld)
+        sdet = sdet + np.log(ld, out=ld).sum(axis=1)
+        ends = np.append(np.arange(K, w, K), w)  # block ends
+        hit = _escaped(Yw[ends], Yw[ends + 1], rad)
+        s += w
+        gone = hit.any(axis=0)
+        if gone.any():
+            esc[live[gone]] = s - w + ends[hit.argmax(axis=0)[gone]]
+            keep = ~gone
+            live, x, y, M, B, v1, v2, slog, sdet = (
+                v[keep] for v in (live, x, y, M, B, v1, v2, slog, sdet))
+    for o, v in zip(out, (slog, sdet, x, y)):
+        o[live] = v
+    return (*out, esc)
 
 
 def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
@@ -480,57 +591,26 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
                     period[g[r]] = len(cyc)
                     l1[g[r]], l2[g[r]] = lams
                     go_on[r] = False
-            lyap.append((g[go_on], cx[go_on], cy[go_on], cM[go_on], cB[go_on]))
+            if go_on.any():
+                lyap.append((g[go_on], cx[go_on], cy[go_on], cM[go_on], cB[go_on]))
 
     if lyap:
         gids, lx, ly, lM, lB = (np.concatenate(v) for v in zip(*lyap))
-        v1 = np.full(gids.size, _INV_SQRT2)
-        v2 = np.full(gids.size, _INV_SQRT2)
-        slog = np.zeros(gids.size)
-        sdet = np.zeros(gids.size)
-        alive = np.ones(gids.size, bool)
         step_no = opts.burn_in + tail_len
-        # escape is checked every 16 steps: dead cells run on as zeros and
-        # their accumulators are reset, so nan never reaches a live sum.
-        # det DT and R*x are formed once per step: -B - R*y is exactly -det,
-        # so every bit matches the step of lyapunov_exponents
+        # cells in chunks of _LYAP_CELLS bound the window buffers; no cell
+        # depends on the chunking
         with np.errstate(all="ignore"):
-            s = 0
-            while s < opts.span and alive.any():
-                m = min(16, opts.span - s)
-                for _ in range(m):
-                    det = lB + R * ly
-                    rx = R * lx
-                    w2 = (-2.0 * ly - rx) * v2 - det * v1
-                    nrm = np.hypot(v2, w2)
-                    z = None
-                    if not nrm.all():
-                        z = nrm == 0.0
-                        slog[z] = -np.inf  # sticky: later finite adds keep it
-                        nrm[z] = 1.0
-                    slog += np.log(nrm)
-                    v1, v2 = v2 / nrm, w2 / nrm
-                    if z is not None:
-                        v1[z] = 1.0
-                        v2[z] = 0.0
-                    sdet += np.log(np.abs(det))
-                    lx, ly = ly, lM - lB * lx - ly * ly - rx * ly
-                s += m
-                bad = alive & _escaped(lx, ly, rad)
-                if bad.any():
-                    verdict[gids[bad]] = 0
-                    escape_step[gids[bad]] = step_no + s
-                    alive &= ~bad
-                    lx[bad] = 0.0
-                    ly[bad] = 0.0
-                    v1[bad] = _INV_SQRT2
-                    v2[bad] = _INV_SQRT2
-                    slog[bad] = 0.0
-                    sdet[bad] = 0.0
+            parts = [_lyapunov_windows(*(v[c0 : c0 + _LYAP_CELLS] for v in (lx, ly, lM, lB)), R,
+                                       opts.span, rad)
+                     for c0 in range(0, gids.size, _LYAP_CELLS)]
+            slog, sdet, lx, ly, esc = (np.concatenate(v) for v in zip(*parts))
             g1 = slog / opts.span
             gs = sdet / opts.span
             g1 = np.maximum(g1, gs - g1)  # nan at a superstable cell: -inf - -inf
             g2 = gs - g1
+        alive = esc == 0
+        verdict[gids[~alive]] = 0
+        escape_step[gids[~alive]] = step_no + esc[~alive]
         l1[gids[alive]] = g1[alive]
         l2[gids[alive]] = g2[alive]
 
@@ -588,10 +668,14 @@ def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: i
     """Classify every cell of the inclusive (M, B) grid; row-major by B then M.
 
     All nx*ny cells run through one phase schedule, compacted to the live
-    cells as orbits escape; only the period-scan tails are chunked, by a fixed
-    byte cap that changes no cell. threads is accepted (it must be >= 1) and
-    has no effect on output or speed: the cost is per numpy call, not per
-    cell, so splitting the cells cannot help.
+    cells as orbits escape; the period-scan tails and the Lyapunov phase are
+    chunked by fixed caps that change no cell. The Lyapunov phase multiplies
+    16-step Jacobian products over buffered orbit windows and renormalizes
+    the tangent vector once per product, so a cell's exponents can differ
+    from classify's step-by-step sums in the last digits (they differ more
+    where the two paths seed or window the orbit differently). threads is
+    accepted (it must be >= 1) and has no effect on output or speed: the cost
+    is per numpy call, not per cell, so splitting the cells cannot help.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")

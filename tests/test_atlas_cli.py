@@ -322,3 +322,39 @@ def test_coexist_overflowing_n_exits_3(capsys):
 def test_coexist_rejects_return_index_below_one(capsys):
     assert run(capsys, "coexist", "--n-sink", "0")[0] == 3
     assert run(capsys, "coexist", "--n-circle", "-3")[0] == 3
+
+
+def test_curves_out_of_range_R_exits_3(capsys):
+    # R = 1e308 is finite, but the flip and neutral curves overflow to inf
+    # and nan there; no table of such rows is printed
+    code, out, err = run(capsys, "curves", "--R", "1e308", "--samples", "3")
+    assert (code, out) == (3, "")
+    assert "range" in err
+
+
+def test_window_unresolvable_n_exits_3(capsys):
+    # at n = 600, (lam*gamma)^n ~ 1e60 turns the rounding of phi into a
+    # back-solved B of 4.7e44; the row is refused, and so is the whole table
+    code, out, err = run(capsys, "window", "--n", "5,600", "--target-m", "1", "--target-b", "0.5")
+    assert (code, out) == (3, "")
+    assert "n=600" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "window", "--n", "80", "--target-m", "1", "--target-b", "0.5")
+    assert code == 0 and len(out.strip().split("\n")) == 2
+
+
+def test_config_rejects_non_finite_floats(tmp_path, capsys):
+    from ghmlab.atlas_cli import _SCHEMA
+
+    ini = tmp_path / "bad.ini"
+    checked = 0
+    for cmd, keys in _SCHEMA.items():
+        for key, typ in keys.items():
+            if typ is not float:
+                continue
+            for raw in ("nan", "inf", "-inf"):
+                ini.write_text(f"[{cmd}]\n{key} = {raw}\n")
+                code, out, err = run(capsys, cmd, "--config", str(ini))
+                assert (code, out) == (3, ""), (cmd, key, raw)
+                assert "not finite" in err
+                checked += 1
+    assert checked >= 3 * 25

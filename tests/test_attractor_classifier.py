@@ -374,3 +374,142 @@ def test_lyapunov_matches_textbook_loop_bitwise():
         assert got == ref, (pm, s0, burn_in, rad)
         outcomes.add(got[0][:2] if isinstance(got[0], tuple) else "exponents")
     assert outcomes == {"exponents", ("escaped", False), ("escaped", True)}
+
+
+# ---------------------------------------------------------------------------
+# reference: the sweep's per-step vector Lyapunov loop as it stood before the
+# block-product kernel, behind the kernel's interface. Orbits, escape tests
+# and verdicts must agree exactly; exponents only to rounding, since a block
+# norm is not the product of per-step norms in floating point.
+
+
+def _reference_lyapunov_loop(lx, ly, lM, lB, R, span, rad):
+    n = lx.size
+    v1 = np.full(n, attractor_classifier._INV_SQRT2)
+    v2 = np.full(n, attractor_classifier._INV_SQRT2)
+    slog = np.zeros(n)
+    sdet = np.zeros(n)
+    alive = np.ones(n, bool)
+    esc = np.zeros(n, dtype=np.int64)
+    s = 0
+    while s < span and alive.any():
+        m = min(16, span - s)
+        for _ in range(m):
+            det = lB + R * ly
+            rx = R * lx
+            w2 = (-2.0 * ly - rx) * v2 - det * v1
+            nrm = np.hypot(v2, w2)
+            z = None
+            if not nrm.all():
+                z = nrm == 0.0
+                slog[z] = -np.inf
+                nrm[z] = 1.0
+            slog += np.log(nrm)
+            v1, v2 = v2 / nrm, w2 / nrm
+            if z is not None:
+                v1[z] = 1.0
+                v2[z] = 0.0
+            sdet += np.log(np.abs(det))
+            lx, ly = ly, lM - lB * lx - ly * ly - rx * ly
+        s += m
+        bad = alive & attractor_classifier._escaped(lx, ly, rad)
+        if bad.any():
+            esc[bad] = s
+            alive &= ~bad
+            lx[bad] = ly[bad] = 0.0
+            v1[bad] = v2[bad] = attractor_classifier._INV_SQRT2
+    return (*(np.where(alive, v, np.nan) for v in (slog, sdet, lx, ly)), esc)
+
+
+def _lyapunov_phase_escapes(grid, opts):
+    first = opts.burn_in + 4 * opts.max_period
+    return sum(c.evidence.get("escape_step", 0) > first for c in grid.cells)
+
+
+_KERNEL_GRIDS = [
+    # R = 0, chaotic cells among sinks and escapes
+    ((-0.5, 1.4, -0.3, 0.3, 12, 8, 0.0), dict(burn_in=3000, span=2000, max_period=32), 0),
+    # R != 0 over a circle band
+    ((0.55, 0.59, 0.97, 0.985, 4, 3, 0.1), dict(burn_in=10000, span=5000, max_period=16), 0),
+    # escapes inside the Lyapunov phase, at R = 0 and R != 0
+    ((1.0, 2.2, -0.4, 0.4, 32, 24, 0.0), dict(burn_in=50, span=4000, max_period=8), 10),
+    ((1.0, 2.2, -0.4, 0.4, 32, 24, 0.1), dict(burn_in=50, span=4000, max_period=8), 10),
+    # spans that are not multiples of the block or of the window
+    ((-0.5, 2.0, -0.5, 0.5, 9, 7, 0.05), dict(burn_in=100, span=1000, max_period=4), 0),
+    ((-0.5, 2.0, -0.5, 0.5, 9, 7, 0.0), dict(burn_in=100, span=1001, max_period=4), 0),
+    # the superstable cell (1, 0) and its neighbours
+    ((0.999, 1.0, -1e-9, 0.0, 2, 2, 0.0), dict(burn_in=2000, span=1000, max_period=1), 0),
+]
+
+
+@pytest.mark.parametrize("args, kw, min_escapes", _KERNEL_GRIDS)
+def test_sweep_block_kernel_matches_step_loop(monkeypatch, args, kw, min_escapes):
+    opts = ClassifyOptions(circle_points=2000, **kw)
+    got = sweep(*args, opts=opts)
+    monkeypatch.setattr(attractor_classifier, "_lyapunov_windows", _reference_lyapunov_loop)
+    ref = sweep(*args, opts=opts)
+    assert _lyapunov_phase_escapes(ref, opts) >= min_escapes
+    lyap_cells = 0
+    for c, r in zip(got.cells, ref.cells):
+        key = (c.verdict, c.period, c.rotation_number, c.evidence.get("escape_step"))
+        assert key == (r.verdict, r.period, r.rotation_number, r.evidence.get("escape_step"))
+        assert (c.lyapunov is None) == (r.lyapunov is None)
+        if c.lyapunov is None or c.verdict == "sink":
+            continue
+        lyap_cells += 1
+        for u, v in zip(c.lyapunov, r.lyapunov):
+            if math.isinf(v):
+                assert u == v
+            else:
+                assert abs(u - v) <= 1e-12, (c, r)
+    assert lyap_cells > 0
+
+
+def test_sweep_kernel_drops_exponents_it_cannot_resolve():
+    # (1, 0): the period-2 orbit through the critical point annihilates the
+    # tangent vector, so the cell has no exponents; at (0.999, 0) the
+    # Jacobian is singular every step without annihilating it, so l2 = -inf
+    opts = ClassifyOptions(burn_in=2000, span=1000, max_period=1, circle_points=2000)
+    cells = sweep(0.999, 1.0, -1e-9, 0.0, 2, 2, 0.0, opts).cells
+    assert (cells[3].verdict, cells[3].lyapunov) == ("undecided", None)
+    assert cells[2].verdict == "undecided" and cells[2].lyapunov[1] == -math.inf
+    assert math.isfinite(cells[2].lyapunov[0])
+    # at M = 1, a 16-step product underflows to 0 at |B| = 1e-100 and to a
+    # subnormal at |B| = 1e-40 (l1 would be off by 3e-3): those cells stay
+    # undecided without exponents, never chaotic with l1 = +inf
+    cells = sweep(0.999, 1.0, 1e-100, 1e-40, 2, 2, 0.0, opts).cells
+    assert [c.verdict for c in cells] == ["undecided"] * 4
+    assert [c.lyapunov is None for c in cells] == [False, True, False, True]
+
+
+def test_sweep_cell_does_not_depend_on_batch(monkeypatch):
+    # (1.375, -0.3125) is chaotic; in the 2x2 grid it is the only cell of the
+    # Lyapunov phase, in the 3x3 grid one of many, and in chunks of two cells
+    # it shares a chunk with other cells; every run must give the same bits
+    opts = ClassifyOptions(burn_in=2000, span=3000, max_period=16, circle_points=2000)
+    small = sweep(-1.0, 1.375, -0.3125, 0.5, 2, 2, 0.0, opts)
+    assert [c.verdict for c in small.cells] == ["divergent", "chaotic", "divergent", "sink"]
+    big = sweep(1.25, 1.5, -0.375, -0.25, 3, 3, 0.0, opts)
+    assert big.params_at(1, 1) == small.params_at(1, 0)
+    assert sum(c.lyapunov is not None and c.verdict != "sink" for c in big.cells) > 2
+    monkeypatch.setattr(attractor_classifier, "_LYAP_CELLS", 2)
+    chunked = sweep(1.25, 1.5, -0.375, -0.25, 3, 3, 0.0, opts)
+    assert chunked.cells == big.cells
+    assert _bits(big.cells[4]) == _bits(small.cells[1]) == _bits(chunked.cells[4])
+
+
+def test_sweep_exponents_obey_the_sum_rule_at_R0():
+    # det DT = B at R = 0, so l1 + l2 = ln|B| for every cell with exponents:
+    # verified sinks, chaotic, circle and undecided cells alike
+    opts = ClassifyOptions(burn_in=50, span=4000, max_period=8, circle_points=2000)
+    grid = sweep(-0.5, 2.2, -0.4, 0.4, 16, 12, 0.0, opts)
+    seen = set()
+    for ib in range(grid.ny):
+        for im in range(grid.nx):
+            c = grid.cells[ib * grid.nx + im]
+            if c.verdict == "divergent":
+                continue
+            seen.add(c.verdict)
+            l1, l2 = c.lyapunov
+            assert abs(l1 + l2 - math.log(abs(grid.params_at(im, ib).B))) <= 1e-9, c
+    assert {"sink", "chaotic", "undecided"} <= seen
