@@ -140,6 +140,15 @@ def _orbit(p: GhmParams, x: float, y: float, n: int, rad: float, ys=None, k0: in
     return x, y
 
 
+def _tail(p: GhmParams, x: float, y: float, n: int, rad: float, k0: int):
+    """(x, y) after n map steps and the (n, 2) tail of the states passed, kept
+    as y only (point k is (y_k, y_k+1), as x_k+1 = y_k); escapes as in _orbit."""
+    ys = array("d", (y,))
+    x, y = _orbit(p, x, y, n, rad, ys, k0)
+    yv = np.frombuffer(ys)
+    return x, y, np.column_stack((yv[:-1], yv[1:]))
+
+
 def lyapunov_exponents(p: GhmParams, s0: State2, burn_in: int, span: int,
                        escape_radius: float = 1.0e6) -> tuple[float, float]:
     """Both Lyapunov exponents in nats/iterate along the orbit of s0.
@@ -250,12 +259,8 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int 
 
     residual = None
     if p is not None:
-        img = verts.copy()
-        for _ in range(map_power):
-            img = np.column_stack(
-                [img[:, 1], p.M - p.B * img[:, 0] - img[:, 1] ** 2 - p.R * img[:, 0] * img[:, 1]]
-            )
-        residual = float(_dist_to_polygon(img, verts).max())
+        Y = _window(verts[:, 0], verts[:, 1], p.M, p.B, p.R, map_power)
+        residual = float(_dist_to_polygon(np.column_stack((Y[-2], Y[-1])), verts).max())
 
     return CircleReport(
         center=(float(center[0]), float(center[1])),
@@ -343,14 +348,11 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
         s0 = _seed_point(p, opts)
     rad = opts.escape_radius
     tail_len = max(4 * opts.max_period, 3 * opts.circle_points)
-    try:  # the tail is kept as y only: point k is (y_k, y_k+1), as x_k+1 = y_k
+    try:
         x, y = _orbit(p, s0.x, s0.y, opts.burn_in, rad)
-        ys = array("d", (y,))
-        x, y = _orbit(p, x, y, tail_len, rad, ys, opts.burn_in)
+        x, y, tail = _tail(p, x, y, tail_len, rad, opts.burn_in)
     except OrbitEscapedError as e:
         return AttractorClass("divergent", evidence={"escape_step": e.step})
-    yv = np.frombuffer(ys)
-    tail = np.column_stack((yv[:-1], yv[1:]))
 
     per = detect_period(tail[-4 * opts.max_period :], opts.max_period, opts.period_tol)
     if per is not None:
@@ -381,15 +383,15 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
 # ---------------------------------------------------------------------------
 # grid sweep (batched over live cells, deterministic)
 
-# bytes of period-scan tails held at once; rows are scanned in chunks under
-# this cap to bound memory, and no cell depends on the chunking
-_TAIL_BYTES = 2 << 20
-# the Lyapunov phase records orbit windows of _LYAP_WINDOW steps and
-# renormalises the tangent vector once per _LYAP_BLOCK steps, for chunks of
-# at most _LYAP_CELLS cells (about 13 kB of window buffers per cell)
+# the period scan and the Lyapunov phase take at most _CELLS cells at a time,
+# bounding their records (2 MiB at max_period 64, 13 kB a cell in the
+# Lyapunov phase); no cell depends on the chunking. Burn-in steps all live
+# cells in _LYAP_BLOCK-step windows; the Lyapunov phase records _LYAP_WINDOW
+# steps and renormalises the tangent vector once per _LYAP_BLOCK steps
+_CELLS = 1024
 _LYAP_WINDOW = 512
 _LYAP_BLOCK = 16
-_LYAP_CELLS = 1024
+MAX_GRID_CELLS = 10**6  # sweep refuses larger grids
 
 
 def _largest_modulus(tr, det):
@@ -399,9 +401,36 @@ def _largest_modulus(tr, det):
     return np.where(real, 0.5 * (np.abs(tr) + sq), np.sqrt(np.maximum(det, 0.0)))
 
 
-def _escaped(x, y, rad):
-    """Cells outside the escape box; nan and inf compare as outside."""
-    return ~((np.abs(x) <= rad) & (np.abs(y) <= rad))
+def _window(x, y, M, B, R, w):
+    """Record of w map steps from (x, y), one cell per column: row 0 is x and
+    row j + 1 the y after j steps, so the state after step j is rows (j, j + 1).
+    Every vector map step of the module is taken here, in place, in the
+    operand order M - B*x - y*y - (R*x)*y."""
+    Y = np.empty((w + 2,) + np.shape(x))
+    Y[0], Y[1] = x, y
+    T = np.empty(np.shape(x))
+    rows = list(Y)
+    for xk, yk, nxt in zip(rows, rows[1:], rows[2:]):
+        np.multiply(B, xk, nxt)
+        np.subtract(M, nxt, nxt)
+        np.multiply(yk, yk, T)
+        np.subtract(nxt, T, nxt)
+        np.multiply(R, xk, T)
+        np.multiply(T, yk, T)
+        np.subtract(nxt, T, nxt)
+    return Y
+
+
+def _exits(Y, steps, rad):
+    """Mask of the cells of a _window record that leave |x|, |y| <= rad within
+    `steps` steps, and the step each leaves at; nan and inf are outside."""
+    Z = Y[1 : steps + 2]
+    gone = ~((Z.max(axis=0) <= rad) & (Z.min(axis=0) >= -rad))
+    if not gone.any():
+        return gone, np.zeros(0, dtype=np.int64)
+    inside = (Z <= rad) & (Z >= -rad)  # booleans: no float copy of the record
+    # Z[i] = Y[i + 1] is the y of step i; Z[0], the start y, is step 1's x
+    return gone, np.maximum(inside[:, gone].argmin(axis=0), 1)
 
 
 def _block_products(a, d):
@@ -440,31 +469,19 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     slog = np.zeros(n)
     sdet = np.zeros(n)
     W, K = _LYAP_WINDOW, _LYAP_BLOCK
-    m = 0
-    s = 0
+    m = s = 0
     while s < span and live.size:
-        if m != live.size:  # window buffers, allocated again after escapes
+        if m != live.size:  # Jacobian buffers, allocated again after escapes
             m = live.size
-            Y, det, a = np.empty((W + 2, m)), np.empty((W, m)), np.empty((W, m))
-            rows, T = list(Y), np.empty(m)
-            N = np.empty((W // K + 2, m))
+            det, a = np.empty((W, m)), np.empty((W, m))
         w = min(W, span - s)
-        Yw = Y[: w + 2]  # x_j = Yw[j], y_j = Yw[j + 1]
-        Yw[0], Yw[1] = x, y
-        for xk, yk, nxt in zip(rows, rows[1:], rows[2 : w + 2]):
-            np.multiply(B, xk, nxt)  # M - B*x - y*y - R*x*y, in this order
-            np.subtract(M, nxt, nxt)
-            np.multiply(yk, yk, T)
-            np.subtract(nxt, T, nxt)
-            np.multiply(R, xk, T)
-            np.multiply(T, yk, T)
-            np.subtract(nxt, T, nxt)
-        x, y = Yw[w].copy(), Yw[w + 1].copy()
+        Y = _window(x, y, M, B, R, w)  # x_j = Y[j], y_j = Y[j + 1]
+        x, y = Y[w].copy(), Y[w + 1].copy()
         dw, aw = det[:w], a[:w]
-        np.multiply(Yw[:w], R, aw)
-        np.multiply(Yw[1:-1], -2.0, dw)
+        np.multiply(Y[:w], R, aw)
+        np.multiply(Y[1:-1], -2.0, dw)
         np.subtract(dw, aw, aw)  # -2y - R x
-        np.multiply(Yw[1:-1], R, dw)
+        np.multiply(Y[1:-1], R, dw)
         np.add(dw, B, dw)
         nb, rem = divmod(w, K)
         blocks = list(zip(*_block_products(aw[: nb * K].reshape(nb, K, m),
@@ -472,26 +489,27 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         if rem:
             blocks += zip(*_block_products(aw[nb * K :].reshape(1, rem, m),
                                            dw[nb * K :].reshape(1, rem, m)))
-        Nw = N[: len(blocks) + 1]
-        Nw[0] = slog
+        N = np.empty((len(blocks) + 1, m))
+        N[0] = slog
         for b, (p, q, r, t) in enumerate(blocks, 1):
             w1 = p * v1 + q * v2
             w2 = r * v1 + t * v2
-            nrm = np.hypot(w1, w2, out=Nw[b])
+            nrm = np.hypot(w1, w2, out=N[b])
             v1, v2 = w1 / nrm, w2 / nrm
         # a norm outside the normal range has no usable log: 0 for an
         # annihilated tangent vector, subnormal or inf for a product that
         # under- or overflowed; nan stays sticky in the step-order sum
-        lg = np.log(Nw[1:], out=Nw[1:])
+        lg = np.log(N[1:], out=N[1:])
         lg[~(np.abs(lg) < _LOG_HUGE)] = np.nan
-        slog = np.add.accumulate(Nw, axis=0)[-1]
+        slog = np.add.accumulate(N, axis=0)[-1]
         # log|det| goes to a's spent buffer one row per cell, so every cell
         # gets the pairwise sum of its own row whatever the batch
         ld = aw.reshape(m, w)
         np.abs(dw.T, out=ld)
         sdet = sdet + np.log(ld, out=ld).sum(axis=1)
         ends = np.append(np.arange(K, w, K), w)  # block ends
-        hit = _escaped(Yw[ends], Yw[ends + 1], rad)
+        hit = ~((np.abs(Y[ends]) <= rad) & (np.abs(Y[ends + 1]) <= rad))
+        del Y  # before the next window's record is allocated
         s += w
         gone = hit.any(axis=0)
         if gone.any():
@@ -504,12 +522,9 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     return (*out, esc)
 
 
-def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
-    n = M.size
-    rad = opts.escape_radius
-
-    # seeding, same policy as classify: attracting fixed point if any,
-    # else smallest |x| fixed point, else the origin
+def _seeds(M, B, R, opts: ClassifyOptions):
+    """Start (x, y) of every cell, by classify's policy: near the attracting
+    fixed point if any, else the fixed point of smallest |x|, else the origin."""
     a = 1.0 + R
     b1 = 1.0 + B
     with np.errstate(all="ignore"):
@@ -526,8 +541,13 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
         att2 = _largest_modulus(-(2.0 + R) * x2, B + R * x2) < 1.0
     xs = np.where(att1, x1, np.where(att2, x2, np.where(np.abs(x1) <= np.abs(x2), x1, x2)))
     dx, dy = opts.seed_offset
-    x = np.where(hasfp, xs + dx, 0.0)
-    y = np.where(hasfp, xs + dy, 0.0)
+    return np.where(hasfp, xs + dx, 0.0), np.where(hasfp, xs + dy, 0.0)
+
+
+def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
+    n = M.size
+    rad = opts.escape_radius
+    x, y = _seeds(M, B, R, opts)
 
     # 0 divergent, 1 sink, 2 chaotic, 3 circle, 4 undecided
     verdict = np.full(n, 4, dtype=np.int8)
@@ -535,74 +555,67 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
     period = np.zeros(n, dtype=np.int32)
     l1 = np.full(n, np.nan)
     l2 = np.full(n, np.nan)
-    fitted: dict[int, AttractorClass] = {}  # circle candidates, by cell index
+    fitted: dict[int, AttractorClass] = {}  # circle candidates' verdicts, by cell index
     live = np.arange(n)
 
     with np.errstate(all="ignore"):
-        for step in range(1, opts.burn_in + 1):
-            x, y = y, M - B * x - y * y - R * x * y
-            bad = _escaped(x, y, rad)
-            if bad.any():
-                verdict[live[bad]] = 0
-                escape_step[live[bad]] = step
-                keep = ~bad
-                live, x, y, M, B = live[keep], x[keep], y[keep], M[keep], B[keep]
-                if not live.size:
-                    break
+        for s in range(0, opts.burn_in, _LYAP_BLOCK):
+            w = min(_LYAP_BLOCK, opts.burn_in - s)
+            Y = _window(x, y, M, B, R, w)
+            gone, at = _exits(Y, w, rad)
+            verdict[live[gone]] = 0
+            escape_step[live[gone]] = s + at
+            keep = ~gone
+            live, x, y, M, B = live[keep], Y[w, keep], Y[w + 1, keep], M[keep], B[keep]
+            del Y  # before the next window's record is allocated
+            if not live.size:
+                break
 
-        # period scan of a 4*max_period tail, in chunks of rows under
-        # _TAIL_BYTES; a hit verified as an attracting cycle is a sink, every
-        # other cell goes on to the Lyapunov phase
-        tail_len = 4 * opts.max_period
-        rows_cap = max(1, _TAIL_BYTES // (16 * tail_len))
+        # period scan of a 4*max_period tail: a period-k hit is
+        # max|y_j+k - y_j| < tol over the tail, which is the (x, y) sup-norm
+        # test, as x_j+1 = y_j; a hit verified as an attracting cycle is a
+        # sink, every other cell goes on to the Lyapunov phase
+        L = 4 * opts.max_period
         lyap = []
-        for c0 in range(0, live.size, rows_cap):
-            g, cx, cy, cM, cB = (v[c0 : c0 + rows_cap] for v in (live, x, y, M, B))
-            t = np.empty((g.size, tail_len, 2))
-            for k in range(tail_len):
-                cx, cy = cy, cM - cB * cx - cy * cy - R * cx * cy
-                t[:, k, 0] = cx
-                t[:, k, 1] = cy
-                bad = _escaped(cx, cy, rad)
-                if bad.any():
-                    verdict[g[bad]] = 0
-                    escape_step[g[bad]] = opts.burn_in + k + 1
-                    keep = ~bad
-                    g, cx, cy, cM, cB, t = g[keep], cx[keep], cy[keep], cM[keep], cB[keep], t[keep]
-                    if not g.size:
-                        break
-            cycles = {}  # chunk row -> its last `period` tail points
-            rows = np.arange(g.size)
+        for c0 in range(0, live.size, _CELLS):
+            g, cx, cy, cM, cB = (v[c0 : c0 + _CELLS] for v in (live, x, y, M, B))
+            Y = _window(cx, cy, cM, cB, R, L)
+            gone, at = _exits(Y, L, rad)
+            verdict[g[gone]] = 0
+            escape_step[g[gone]] = opts.burn_in + at
+            cols = np.flatnonzero(~gone)  # chunk columns with no period yet
+            Z = Y[:, cols] if gone.any() else Y
+            per = np.zeros(g.size, dtype=np.int64)
             for k in range(1, opts.max_period + 1):
-                if not rows.size:
+                if not cols.size:
                     break
-                d = t[:, k:] - t[:, :-k]
-                hit = np.abs(d, out=d).max(axis=(1, 2)) < opts.period_tol
+                d = Z[1 + k :] - Z[1 : L + 2 - k]
+                hit = np.abs(d, out=d).max(axis=0) < opts.period_tol
                 del d
                 if hit.any():
-                    for r in np.flatnonzero(hit):
-                        cycles[int(rows[r])] = t[r, -k:].copy()
-                    rows, t = rows[~hit], t[~hit]
-            go_on = np.ones(g.size, bool)
-            for r, cyc in cycles.items():
-                ok, lams = _verify_cycle(GhmParams(float(cM[r]), float(cB[r]), R), cyc)
+                    per[cols[hit]] = k
+                    cols, Z = cols[~hit], Z[:, ~hit]
+            go_on = ~gone
+            for c in np.flatnonzero(per):
+                k = per[c]
+                cyc = np.column_stack((Y[L - k + 1 : L + 1, c], Y[L - k + 2 :, c]))
+                ok, lams = _verify_cycle(GhmParams(float(cM[c]), float(cB[c]), R), cyc)
                 if ok and lams[0] < -opts.eps_lyap:
-                    verdict[g[r]] = 1
-                    period[g[r]] = len(cyc)
-                    l1[g[r]], l2[g[r]] = lams
-                    go_on[r] = False
+                    verdict[g[c]] = 1
+                    period[g[c]] = k
+                    l1[g[c]], l2[g[c]] = lams
+                    go_on[c] = False
             if go_on.any():
-                lyap.append((g[go_on], cx[go_on], cy[go_on], cM[go_on], cB[go_on]))
+                lyap.append((g[go_on], Y[L][go_on], Y[L + 1][go_on], cM[go_on], cB[go_on]))
+            del Y  # not held into the next chunk or phase
 
     if lyap:
         gids, lx, ly, lM, lB = (np.concatenate(v) for v in zip(*lyap))
-        step_no = opts.burn_in + tail_len
-        # cells in chunks of _LYAP_CELLS bound the window buffers; no cell
-        # depends on the chunking
+        step_no = opts.burn_in + L
         with np.errstate(all="ignore"):
-            parts = [_lyapunov_windows(*(v[c0 : c0 + _LYAP_CELLS] for v in (lx, ly, lM, lB)), R,
+            parts = [_lyapunov_windows(*(v[c0 : c0 + _CELLS] for v in (lx, ly, lM, lB)), R,
                                        opts.span, rad)
-                     for c0 in range(0, gids.size, _LYAP_CELLS)]
+                     for c0 in range(0, gids.size, _CELLS)]
             slog, sdet, lx, ly, esc = (np.concatenate(v) for v in zip(*parts))
             g1 = slog / opts.span
             gs = sdet / opts.span
@@ -619,34 +632,16 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
         verdict[gids[cha]] = 2  # chaotic
         # alive cells that are neither chaotic nor circle candidates stay
         # undecided: contracting without a short period, or not transversally
-        # contracting
-        circ_rows = np.flatnonzero(alive & ~cha & ~(g1 < -eps) & (g2 < -eps))
-
-        # circle-candidate tails are recorded in small chunks: 3*circle_points
-        # doubles per cell would be ~0.4 MB each
-        for c0 in range(0, circ_rows.size, 64):
-            chunk = circ_rows[c0 : c0 + 64]
-            m_tail = 3 * opts.circle_points
-            ct = np.empty((chunk.size, m_tail, 2))
-            cx, cy = lx[chunk].copy(), ly[chunk].copy()
-            cM, cB = lM[chunk].copy(), lB[chunk].copy()
-            calive = np.ones(chunk.size, bool)
-            with np.errstate(all="ignore"):
-                for s in range(m_tail):
-                    cx, cy = cy, cM - cB * cx - cy * cy - R * cx * cy
-                    bad = calive & _escaped(cx, cy, rad)
-                    if bad.any():
-                        verdict[gids[chunk[bad]]] = 0
-                        escape_step[gids[chunk[bad]]] = step_no + opts.span + s + 1
-                        calive &= ~bad
-                        cx[~calive] = 0.0
-                        cy[~calive] = 0.0
-                    ct[:, s, 0] = cx
-                    ct[:, s, 1] = cy
-            for j in np.flatnonzero(calive):
-                r = chunk[j]
-                fitted[int(gids[r])] = _circle_test(ct[j], GhmParams(float(cM[j]), float(cB[j]), R), opts,
-                                               (float(g1[r]), float(g2[r])))
+        # contracting; circle candidates record their tail as classify does
+        for r in np.flatnonzero(alive & ~cha & ~(g1 < -eps) & (g2 < -eps)):
+            p = GhmParams(float(lM[r]), float(lB[r]), R)
+            try:
+                tail = _tail(p, float(lx[r]), float(ly[r]), 3 * opts.circle_points, rad,
+                             step_no + opts.span)[2]
+            except OrbitEscapedError as e:
+                fitted[int(gids[r])] = AttractorClass("divergent", evidence={"escape_step": e.step})
+                continue
+            fitted[int(gids[r])] = _circle_test(tail, p, opts, (float(g1[r]), float(g2[r])))
 
     out = []
     names = ("divergent", "sink", "chaotic", "circle", "undecided")
@@ -667,18 +662,21 @@ def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: i
           opts: ClassifyOptions | None = None, threads: int = 1) -> SweepGrid:
     """Classify every cell of the inclusive (M, B) grid; row-major by B then M.
 
-    All nx*ny cells run through one phase schedule, compacted to the live
-    cells as orbits escape; the period-scan tails and the Lyapunov phase are
-    chunked by fixed caps that change no cell. The Lyapunov phase multiplies
-    16-step Jacobian products over buffered orbit windows and renormalizes
-    the tangent vector once per product, so a cell's exponents can differ
-    from classify's step-by-step sums in the last digits (they differ more
-    where the two paths seed or window the orbit differently). threads is
-    accepted (it must be >= 1) and has no effect on output or speed: the cost
-    is per numpy call, not per cell, so splitting the cells cannot help.
+    All nx*ny cells run through one schedule of recorded orbit windows,
+    compacted to the live cells as orbits escape; the period scan and the
+    Lyapunov phase are chunked by a cell cap that changes no cell, and circle
+    candidates record their tail with classify's scalar loop. The Lyapunov
+    phase renormalizes the tangent vector once per 16-step Jacobian product,
+    so a cell's exponents can differ from classify's step-by-step sums in
+    the last digits (more where the two paths seed or window the orbit
+    differently). A grid of more than MAX_GRID_CELLS cells raises ValueError.
+    threads is accepted (it must be >= 1) and has no effect on output or
+    speed: the cost is per numpy call, not per cell.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(f"a {nx}x{ny} grid exceeds the cap of {MAX_GRID_CELLS} cells")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if not all(math.isfinite(v) for v in (m_min, m_max, b_min, b_max, R)):

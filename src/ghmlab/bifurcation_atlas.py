@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .ghm_core import GhmParams, fixed_points
 
 CURVE_IDS = ("Lplus", "Lminus", "Lphi", "Lneutral")
+MAX_SAMPLES = 10**6  # trace_curves refuses more samples per curve
 
 
 @dataclass(frozen=True)
@@ -136,11 +137,12 @@ def trace_curves(R: float, samples_per_curve: int) -> list[CurveSample]:
     Fold/flip curves are sampled over B in [-3, 3] (closed), the circle-birth
     curve over interior points of omega in (0, pi), the neutral curve over
     alpha in (1, 3] (right endpoint included). The window matches the region
-    where the curves organize the (M, B) plane around B = 1.
+    where the curves organize the (M, B) plane around B = 1. At most
+    MAX_SAMPLES samples per curve are drawn.
     """
     S = samples_per_curve
-    if S < 2:
-        raise ValueError("need at least 2 samples per curve")
+    if not 2 <= S <= MAX_SAMPLES:
+        raise ValueError(f"need 2 to {MAX_SAMPLES} samples per curve")
     if not math.isfinite(R):
         raise ValueError("R must be finite")
     out: list[CurveSample] = []

@@ -30,6 +30,10 @@ from .ghm_core import GhmParams
 
 EXCLUDED_RADIUS = 0.25  # parameter-plane ball around the origin where B ~ 0
 SIGMA_HALF_HEIGHT = 0.25  # half-height h of the exit box in raw y
+# window_invert refuses a window whose round trip misses its target by more
+# than this, relative (about half the digits of a double)
+ROUND_TRIP_TOL = 1e-8
+MAX_PHI_STEPS = 10**7  # CoexistenceBox refuses a finer phi scan
 U_ESCAPE = 50.0  # rescaled-coordinate escape bound for fit orbits
 
 
@@ -289,19 +293,23 @@ def asymptotic_params(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g, lg, l2g = spectrum.gamma, spectrum.lam * spectrum.gamma, spectrum.lam**2 * spectrum.gamma
-    try:
-        M = g ** (2 * n) * mu
-        B = lg**n * math.cos(n * phi)
-    except OverflowError:
-        raise ValueError(f"gamma^2n overflows at return index n={n}") from None
+    M, B = _window_mb(spectrum, mu, phi, n)
     if abs(B) < excluded_radius:
         raise ValueError(
             f"|B|={abs(B):.6g} inside the excluded ball (radius {excluded_radius:g}); "
             "the R asymptotics degenerate near B=0"
         )
-    R = 2.0 * j1 * l2g**n / B
+    R = 2.0 * j1 * (spectrum.lam**2 * spectrum.gamma) ** n / B
     return RescaledParams(M, B, R, "asymptotic")
+
+
+def _window_mb(spectrum: SaddleSpectrum, mu: float, phi: float, n: int) -> tuple[float, float]:
+    """Leading-order (M, B) = (gamma^2n mu, (lam gamma)^n cos(n phi)) of window n."""
+    try:
+        return (spectrum.gamma ** (2 * n) * mu,
+                (spectrum.lam * spectrum.gamma) ** n * math.cos(n * phi))
+    except OverflowError:
+        raise ValueError(f"gamma^2n overflows at return index n={n}") from None
 
 
 def window_invert(
@@ -314,6 +322,9 @@ def window_invert(
 
     mu = M gamma^-2n; phi solves B = (lam gamma)^n cos(n phi) on the branch
     with n phi nearest pi/2. Valid on (-10,10)^2 minus the excluded ball.
+    Raises ValueError when (mu, phi) maps back further than ROUND_TRIP_TOL
+    (relative) from the target: (lam gamma)^n magnifies the rounding of
+    phi, past n of about 80 at the default spectrum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -331,6 +342,11 @@ def window_invert(
     # acos lands in [0, pi], which is exactly the branch nearest pi/2
     phi = math.acos(v) / n
     mu = M * spectrum.gamma ** (-2 * n)
+    M_back, B_back = _window_mb(spectrum, mu, phi, n)
+    err = max(abs(M_back - M), abs(B_back - B))
+    if not err <= ROUND_TRIP_TOL * max(1.0, abs(M), abs(B)):
+        raise ValueError(f"n={n}: the round trip misses the target by {err:.3g}: "
+                         "(lam*gamma)^n magnifies the rounding of phi")
     return (mu, phi)
 
 
@@ -581,6 +597,10 @@ class CoexistenceBox:
     m_sink_max: float = 0.5
     m_circle_offset: float = 0.03  # past birth; transversal contraction ~ -1e-3
     lphi_band_margin: float = 0.9
+
+    def __post_init__(self):
+        if self.phi_steps > MAX_PHI_STEPS:
+            raise ValueError(f"phi_steps exceeds the cap of {MAX_PHI_STEPS}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ghmlab import atlas_cli, attractor_classifier, bifurcation_atlas
 from ghmlab.atlas_cli import main
 from ghmlab.bifurcation_atlas import CURVE_IDS, CurveSample, validate_sample
 
@@ -340,6 +341,35 @@ def test_window_unresolvable_n_exits_3(capsys):
     assert "n=600" in err and "Traceback" not in err
     code, out, _ = run(capsys, "window", "--n", "80", "--target-m", "1", "--target-b", "0.5")
     assert code == 0 and len(out.strip().split("\n")) == 2
+
+
+def test_rescale_refuses_windows_that_miss_their_target(capsys):
+    # window_invert holds the round-trip check that window applies: at n = 100
+    # the asymptotic B comes back as 0.49999786 for a target of 0.5
+    argv = ("rescale", "--n", "60,100,150", "--target-m", "1", "--target-b", "0.5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "n=100" in err and "Traceback" not in err
+    assert run(capsys, "rescale", "--n", "60", "--target-m", "1", "--target-b", "0.5")[0] == 0
+
+
+def test_size_caps_exit_3(tmp_path, capsys, monkeypatch):
+    # one past each cap is refused before anything of its size is built
+    def unreachable(*args, **kw):
+        raise AssertionError("the cap was not checked first")
+
+    monkeypatch.setattr(attractor_classifier, "_sweep_cells", unreachable)
+    monkeypatch.setattr(bifurcation_atlas, "curve_L_plus", unreachable)
+    monkeypatch.setattr(atlas_cli, "coexistence_search", unreachable)
+    code, out, err = run(capsys, "sweep", "--m-min", "0", "--m-max", "1", "--b-min", "0",
+                         "--b-max", "1", "--nx", "1001", "--ny", "1000")
+    assert (code, out) == (3, "") and "1000000 cells" in err
+    code, out, err = run(capsys, "curves", "--samples", "1000001")
+    assert (code, out) == (3, "") and "1000000" in err
+    ini = tmp_path / "box.ini"
+    ini.write_text("[coexist]\nphi_steps = 10000001\n")
+    code, out, err = run(capsys, "coexist", "--config", str(ini))
+    assert (code, out) == (3, "") and "10000000" in err
 
 
 def test_config_rejects_non_finite_floats(tmp_path, capsys):

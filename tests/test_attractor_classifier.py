@@ -6,6 +6,7 @@ import pytest
 
 from ghmlab import attractor_classifier
 from ghmlab.attractor_classifier import (
+    VERDICTS,
     AttractorClass,
     ClassifyOptions,
     NotACircleError,
@@ -167,9 +168,33 @@ def test_sweep_thread_count_does_not_change_cells():
     assert g1.cells == g3.cells
 
 
-def test_sweep_rejects_degenerate_grid():
+def test_sweep_rejects_degenerate_grid(monkeypatch):
     with pytest.raises(ValueError):
         sweep(0.0, 1.0, 0.0, 1.0, 1, 5, 0.0)
+
+    # the cell cap is checked before any cell is built or classified
+    def no_cells(M, B, R, opts):
+        assert M.size <= attractor_classifier.MAX_GRID_CELLS
+        return [None] * M.size
+
+    monkeypatch.setattr(attractor_classifier, "_sweep_cells", no_cells)
+    with pytest.raises(ValueError, match="cap"):
+        sweep(0.0, 1.0, 0.0, 1.0, 1001, 1000, 0.0)
+    assert len(sweep(0.0, 1.0, 0.0, 1.0, 1000, 1000, 0.0).cells) == 10**6
+
+
+def _assert_chunking_changes_no_cell(monkeypatch, args, opts, cells, verdicts):
+    # a cap of a few cells splits the period scan and the Lyapunov phase into
+    # many chunks, which must leave every cell, exponents and evidence
+    # included, as one chunk does
+    whole = sweep(*args, opts=opts)
+    assert {c.verdict for c in whole.cells} == verdicts
+    assert sum(c.verdict != "divergent" for c in whole.cells) > 2 * cells
+    monkeypatch.setattr(attractor_classifier, "_CELLS", cells)
+    chunked = sweep(*args, opts=opts)
+    assert chunked.cells == whole.cells
+    assert [c.evidence for c in chunked.cells] == [c.evidence for c in whole.cells]
+    return whole
 
 
 @pytest.mark.parametrize(
@@ -181,17 +206,53 @@ def test_sweep_rejects_degenerate_grid():
     ],
 )
 def test_sweep_tail_chunking_changes_no_cell(monkeypatch, burn_in, rows_per_chunk, verdicts):
-    # a byte cap of a few rows splits the period scan into many chunks, which
-    # must leave every cell, exponents and evidence included, as one chunk does
     opts = ClassifyOptions(burn_in=burn_in, span=2000, max_period=32, circle_points=2000)
-    args = (-0.5, 1.4, -0.3, 0.3, 6, 4, 0.0)
-    whole = sweep(*args, opts=opts)
-    assert {c.verdict for c in whole.cells} == verdicts
-    assert sum(c.verdict != "divergent" for c in whole.cells) > 2 * rows_per_chunk
-    monkeypatch.setattr(attractor_classifier, "_TAIL_BYTES", rows_per_chunk * 16 * 4 * opts.max_period)
-    chunked = sweep(*args, opts=opts)
-    assert chunked.cells == whole.cells
-    assert [c.evidence for c in chunked.cells] == [c.evidence for c in whole.cells]
+    _assert_chunking_changes_no_cell(monkeypatch, (-0.5, 1.4, -0.3, 0.3, 6, 4, 0.0), opts,
+                                     rows_per_chunk, verdicts)
+
+
+def test_sweep_chunking_changes_no_circle_cell(monkeypatch):
+    # a band past circle birth at R = 0.1, where five cells are circles
+    whole = _assert_chunking_changes_no_cell(monkeypatch, (-0.78, -0.70, 1.03, 1.07, 8, 6, 0.1),
+                                             ClassifyOptions(span=20_000), 3, set(VERDICTS))
+    assert [c.verdict for c in whole.cells].count("circle") == 5
+
+
+def test_sweep_grids_that_stop_before_the_lyapunov_phase():
+    opts = ClassifyOptions(span=1000, circle_points=2000)
+    # every cell escapes during burn-in; below the fold there is no fixed
+    # point, so sweep and classify both start at the origin and agree on the step
+    grid = sweep(-5.0, -4.0, -0.5, 0.5, 2, 2, 0.0, opts)
+    for ib in range(2):
+        for im in range(2):
+            cell, ref = grid.cells[ib * 2 + im], classify(grid.params_at(im, ib), opts)
+            assert cell.verdict == "divergent" and cell.evidence["escape_step"] > 0
+            assert (cell, cell.evidence) == (ref, ref.evidence)
+    # every cell is a verified sink, so no cell reaches the Lyapunov phase
+    grid = sweep(0.0, 0.2, 0.0, 0.2, 3, 2, 0.0, opts)
+    assert [(c.verdict, c.period) for c in grid.cells] == [("sink", 1)] * 6
+
+
+def test_sweep_escape_steps_and_period_scan_window():
+    # (0, 0) is a superstable fixed point, and every cell's seed is (1e-3,
+    # 2e-3) off its fixed point, as classify's is
+    base = dict(span=1000, max_period=1, circle_points=2000)
+    for burn_in in (0, 100):  # a seed y outside the radius leaves at step 1
+        opts = ClassifyOptions(burn_in=burn_in, escape_radius=1e-3, **base)
+        cell = sweep(0.0, 1.0, 0.0, 1.0, 2, 2, 0.0, opts).cells[0]
+        assert cell.evidence == classify(GhmParams(0.0, 0.0, 0.0), opts).evidence == {"escape_step": 1}
+    # with no burn-in the period scan starts at the seed, whose first step
+    # moves y by 2e-3: a tolerance of 1e-4 finds no period there, 1e-2 does
+    for tol, verdict in ((1e-4, "undecided"), (1e-2, "sink")):
+        opts = ClassifyOptions(burn_in=0, period_tol=tol, **base)
+        assert sweep(0.0, 1.0, 0.0, 1.0, 2, 2, 0.0, opts).cells[0].verdict == verdict
+    # a circle candidate that stays inside the radius through its span and
+    # leaves in the tail recorded for its circle fit
+    opts = ClassifyOptions(burn_in=1000, span=1000, max_period=8, circle_points=2000,
+                           escape_radius=1.17408)
+    cell = sweep(-0.78, -0.70, 1.03, 1.07, 8, 6, 0.1, opts).cells[32]
+    tail_start = opts.burn_in + 4 * opts.max_period + opts.span
+    assert tail_start < cell.evidence["escape_step"] == 2194 <= tail_start + 3 * opts.circle_points
 
 
 def test_sweep_rejects_bad_threads_and_non_finite_input():
@@ -412,7 +473,7 @@ def _reference_lyapunov_loop(lx, ly, lM, lB, R, span, rad):
             sdet += np.log(np.abs(det))
             lx, ly = ly, lM - lB * lx - ly * ly - rx * ly
         s += m
-        bad = alive & attractor_classifier._escaped(lx, ly, rad)
+        bad = alive & ~((np.abs(lx) <= rad) & (np.abs(ly) <= rad))  # nan and inf too
         if bad.any():
             esc[bad] = s
             alive &= ~bad
@@ -492,7 +553,7 @@ def test_sweep_cell_does_not_depend_on_batch(monkeypatch):
     big = sweep(1.25, 1.5, -0.375, -0.25, 3, 3, 0.0, opts)
     assert big.params_at(1, 1) == small.params_at(1, 0)
     assert sum(c.lyapunov is not None and c.verdict != "sink" for c in big.cells) > 2
-    monkeypatch.setattr(attractor_classifier, "_LYAP_CELLS", 2)
+    monkeypatch.setattr(attractor_classifier, "_CELLS", 2)
     chunked = sweep(1.25, 1.5, -0.375, -0.25, 3, 3, 0.0, opts)
     assert chunked.cells == big.cells
     assert _bits(big.cells[4]) == _bits(small.cells[1]) == _bits(chunked.cells[4])

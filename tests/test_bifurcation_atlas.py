@@ -5,6 +5,7 @@ import pytest
 
 from ghmlab.bifurcation_atlas import (
     CURVE_IDS,
+    MAX_SAMPLES,
     CurveSample,
     curve_L_minus,
     curve_L_neutral,
@@ -173,6 +174,8 @@ def test_trace_curves_layout():
     assert out[-1].parameter == 3.0  # alpha right endpoint included
     with pytest.raises(ValueError):
         trace_curves(0.0, 1)
+    with pytest.raises(ValueError):
+        trace_curves(0.0, MAX_SAMPLES + 1)  # refused before a sample is drawn
 
 
 def test_trace_curves_samples_validate_under_default_tolerances():

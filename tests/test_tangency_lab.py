@@ -7,10 +7,12 @@ import pytest
 
 from ghmlab.tangency_lab import (
     COEX_COEFFS,
+    CoexistenceBox,
     DEFAULT_COEFFS,
     DEFAULT_SPECTRUM,
     FitError,
     GlobalMapCoeffs,
+    MAX_PHI_STEPS,
     ReturnMap,
     ReturnMapConfig,
     SaddleSpectrum,
@@ -238,6 +240,13 @@ def test_window_invert_rejections():
     # the exclusion is an option, not a hard wall
     mu, phi = window_invert(sp, 8, (0.1, 0.05), excluded_radius=0.0)
     assert math.isfinite(mu) and 0.0 < phi < math.pi
+    # past n ~ 80 the round trip misses (1, 0.5) by more than ROUND_TRIP_TOL,
+    # and so does mount_window, which shares the check
+    window_invert(sp, 80, (1.0, 0.5))
+    with pytest.raises(ValueError, match="round trip"):
+        window_invert(sp, 100, (1.0, 0.5))
+    with pytest.raises(ValueError, match="round trip"):
+        mount_window(sp, DEFAULT_COEFFS, 100, (1.0, 0.5))
 
 
 def test_asymptotic_params_formulas_and_exclusion():
@@ -340,3 +349,6 @@ def test_coexistence_search_smoke():
     assert len(log) >= 1
     with pytest.raises(ValueError):
         coexistence_search(DEFAULT_SPECTRUM, COEX_COEFFS, 10, 10)
+    CoexistenceBox(phi_steps=MAX_PHI_STEPS)
+    with pytest.raises(ValueError):
+        CoexistenceBox(phi_steps=MAX_PHI_STEPS + 1)
