@@ -6,8 +6,7 @@ exponents split chaotic / circle-candidate / undecided, and circle
 candidates must pass a polygonal invariance test to be reported as
 invariant circles. sweep() evaluates a full (M, B) grid with the same
 tree in one pass batched over the live cells; its output is a pure
-function of the grid spec. Its threads argument is accepted and has no
-effect on output or speed.
+function of the grid spec.
 
 Exponent convention: lambda_1 from tangent-vector growth, lambda_2 =
 <ln|det DT|> - lambda_1 (exact in 2D, same numbers as the two-vector QR
@@ -138,15 +137,6 @@ def _orbit(p: GhmParams, x: float, y: float, n: int, rad: float, ys=None, k0: in
         if put:
             put(y)
     return x, y
-
-
-def _tail(p: GhmParams, x: float, y: float, n: int, rad: float, k0: int):
-    """(x, y) after n map steps and the (n, 2) tail of the states passed, kept
-    as y only (point k is (y_k, y_k+1), as x_k+1 = y_k); escapes as in _orbit."""
-    ys = array("d", (y,))
-    x, y = _orbit(p, x, y, n, rad, ys, k0)
-    yv = np.frombuffer(ys)
-    return x, y, np.column_stack((yv[:-1], yv[1:]))
 
 
 def lyapunov_exponents(p: GhmParams, s0: State2, burn_in: int, span: int,
@@ -348,11 +338,14 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
         s0 = _seed_point(p, opts)
     rad = opts.escape_radius
     tail_len = max(4 * opts.max_period, 3 * opts.circle_points)
-    try:
+    try:  # the tail is kept as y only: point k is (y_k, y_k+1), as x_k+1 = y_k
         x, y = _orbit(p, s0.x, s0.y, opts.burn_in, rad)
-        x, y, tail = _tail(p, x, y, tail_len, rad, opts.burn_in)
+        ys = array("d", (y,))
+        x, y = _orbit(p, x, y, tail_len, rad, ys, opts.burn_in)
     except OrbitEscapedError as e:
         return AttractorClass("divergent", evidence={"escape_step": e.step})
+    yv = np.frombuffer(ys)
+    tail = np.column_stack((yv[:-1], yv[1:]))
 
     per = detect_period(tail[-4 * opts.max_period :], opts.max_period, opts.period_tol)
     if per is not None:
@@ -383,15 +376,20 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
 # ---------------------------------------------------------------------------
 # grid sweep (batched over live cells, deterministic)
 
-# the period scan and the Lyapunov phase take at most _CELLS cells at a time,
-# bounding their records (2 MiB at max_period 64, 13 kB a cell in the
-# Lyapunov phase); no cell depends on the chunking. Burn-in steps all live
-# cells in _LYAP_BLOCK-step windows; the Lyapunov phase records _LYAP_WINDOW
-# steps and renormalises the tangent vector once per _LYAP_BLOCK steps
+# no cell depends on the chunking of a phase (_chunks) or on its window
+# lengths; the Lyapunov phase renormalises once per _LYAP_BLOCK steps
 _CELLS = 1024
+_CHUNK_BYTES = 16 << 20
 _LYAP_WINDOW = 512
 _LYAP_BLOCK = 16
 MAX_GRID_CELLS = 10**6  # sweep refuses larger grids
+
+
+def _chunks(n, doubles):
+    """Slices cutting n cells into chunks of at most _CELLS cells whose arrays,
+    `doubles` doubles a cell, hold at most _CHUNK_BYTES (or one cell's)."""
+    c = max(1, min(_CELLS, _CHUNK_BYTES // (8 * doubles)))
+    return [slice(c0, c0 + c) for c0 in range(0, n, c)]
 
 
 def _largest_modulus(tr, det):
@@ -421,10 +419,10 @@ def _window(x, y, M, B, R, w):
     return Y
 
 
-def _exits(Y, steps, rad):
-    """Mask of the cells of a _window record that leave |x|, |y| <= rad within
-    `steps` steps, and the step each leaves at; nan and inf are outside."""
-    Z = Y[1 : steps + 2]
+def _exits(Y, rad):
+    """Mask of the cells of a _window record that leave |x|, |y| <= rad in
+    its steps, and the step each leaves at; nan and inf are outside."""
+    Z = Y[1:]
     gone = ~((Z.max(axis=0) <= rad) & (Z.min(axis=0) >= -rad))
     if not gone.any():
         return gone, np.zeros(0, dtype=np.int64)
@@ -549,21 +547,22 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
     rad = opts.escape_radius
     x, y = _seeds(M, B, R, opts)
 
-    # 0 divergent, 1 sink, 2 chaotic, 3 circle, 4 undecided
-    verdict = np.full(n, 4, dtype=np.int8)
+    # 0 undecided, 1 sink, 2 chaotic; a cell with an escape step is divergent
+    verdict = np.zeros(n, dtype=np.int8)
     escape_step = np.zeros(n, dtype=np.int64)
     period = np.zeros(n, dtype=np.int32)
-    l1 = np.full(n, np.nan)
-    l2 = np.full(n, np.nan)
-    fitted: dict[int, AttractorClass] = {}  # circle candidates' verdicts, by cell index
+    lam = np.full((n, 2), np.nan)
+    out: list = [None] * n  # circle candidates' verdicts, set as they are fitted
     live = np.arange(n)
 
     with np.errstate(all="ignore"):
-        for s in range(0, opts.burn_in, _LYAP_BLOCK):
-            w = min(_LYAP_BLOCK, opts.burn_in - s)
+        # burn-in in _LYAP_BLOCK-step windows, shorter on grids so large that
+        # a window's record would pass _CHUNK_BYTES
+        w_max = max(1, min(_LYAP_BLOCK, _CHUNK_BYTES // (8 * n) - 2))
+        for s in range(0, opts.burn_in, w_max):
+            w = min(w_max, opts.burn_in - s)
             Y = _window(x, y, M, B, R, w)
-            gone, at = _exits(Y, w, rad)
-            verdict[live[gone]] = 0
+            gone, at = _exits(Y, rad)
             escape_step[live[gone]] = s + at
             keep = ~gone
             live, x, y, M, B = live[keep], Y[w, keep], Y[w + 1, keep], M[keep], B[keep]
@@ -571,17 +570,16 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
             if not live.size:
                 break
 
-        # period scan of a 4*max_period tail: a period-k hit is
-        # max|y_j+k - y_j| < tol over the tail, which is the (x, y) sup-norm
-        # test, as x_j+1 = y_j; a hit verified as an attracting cycle is a
-        # sink, every other cell goes on to the Lyapunov phase
+        # period scan of a 4*max_period tail, whose chunk holds up to four
+        # arrays of its record's size: a period-k hit is max|y_j+k - y_j| < tol,
+        # the (x, y) sup-norm test as x_j+1 = y_j; a hit verified as an
+        # attracting cycle is a sink, every other cell goes on
         L = 4 * opts.max_period
         lyap = []
-        for c0 in range(0, live.size, _CELLS):
-            g, cx, cy, cM, cB = (v[c0 : c0 + _CELLS] for v in (live, x, y, M, B))
-            Y = _window(cx, cy, cM, cB, R, L)
-            gone, at = _exits(Y, L, rad)
-            verdict[g[gone]] = 0
+        for c in _chunks(live.size, 4 * (L + 2)):
+            g, cM, cB = live[c], M[c], B[c]
+            Y = _window(x[c], y[c], cM, cB, R, L)
+            gone, at = _exits(Y, rad)
             escape_step[g[gone]] = opts.burn_in + at
             cols = np.flatnonzero(~gone)  # chunk columns with no period yet
             Z = Y[:, cols] if gone.any() else Y
@@ -596,65 +594,63 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
                     per[cols[hit]] = k
                     cols, Z = cols[~hit], Z[:, ~hit]
             go_on = ~gone
-            for c in np.flatnonzero(per):
-                k = per[c]
-                cyc = np.column_stack((Y[L - k + 1 : L + 1, c], Y[L - k + 2 :, c]))
-                ok, lams = _verify_cycle(GhmParams(float(cM[c]), float(cB[c]), R), cyc)
+            for j in np.flatnonzero(per):
+                k = per[j]
+                cyc = np.column_stack((Y[L - k + 1 : L + 1, j], Y[L - k + 2 :, j]))
+                ok, lams = _verify_cycle(GhmParams(float(cM[j]), float(cB[j]), R), cyc)
                 if ok and lams[0] < -opts.eps_lyap:
-                    verdict[g[c]] = 1
-                    period[g[c]] = k
-                    l1[g[c]], l2[g[c]] = lams
-                    go_on[c] = False
+                    verdict[g[j]], period[g[j]], lam[g[j]] = 1, k, lams
+                    go_on[j] = False
             if go_on.any():
                 lyap.append((g[go_on], Y[L][go_on], Y[L + 1][go_on], cM[go_on], cB[go_on]))
-            del Y  # not held into the next chunk or phase
+            del Y, Z  # not held into the next chunk or phase
 
     if lyap:
         gids, lx, ly, lM, lB = (np.concatenate(v) for v in zip(*lyap))
         step_no = opts.burn_in + L
         with np.errstate(all="ignore"):
-            parts = [_lyapunov_windows(*(v[c0 : c0 + _CELLS] for v in (lx, ly, lM, lB)), R,
-                                       opts.span, rad)
-                     for c0 in range(0, gids.size, _CELLS)]
+            # a window record and two Jacobian buffers of _LYAP_WINDOW rows
+            parts = [_lyapunov_windows(lx[c], ly[c], lM[c], lB[c], R, opts.span, rad)
+                     for c in _chunks(gids.size, 3 * _LYAP_WINDOW + 2)]
             slog, sdet, lx, ly, esc = (np.concatenate(v) for v in zip(*parts))
             g1 = slog / opts.span
             gs = sdet / opts.span
             g1 = np.maximum(g1, gs - g1)  # nan at a superstable cell: -inf - -inf
             g2 = gs - g1
         alive = esc == 0
-        verdict[gids[~alive]] = 0
         escape_step[gids[~alive]] = step_no + esc[~alive]
-        l1[gids[alive]] = g1[alive]
-        l2[gids[alive]] = g2[alive]
+        lam[gids[alive]] = np.column_stack((g1, g2))[alive]
 
         eps = opts.eps_lyap
         cha = alive & (g1 > eps)
         verdict[gids[cha]] = 2  # chaotic
         # alive cells that are neither chaotic nor circle candidates stay
         # undecided: contracting without a short period, or not transversally
-        # contracting; circle candidates record their tail as classify does
-        for r in np.flatnonzero(alive & ~cha & ~(g1 < -eps) & (g2 < -eps)):
-            p = GhmParams(float(lM[r]), float(lB[r]), R)
-            try:
-                tail = _tail(p, float(lx[r]), float(ly[r]), 3 * opts.circle_points, rad,
-                             step_no + opts.span)[2]
-            except OrbitEscapedError as e:
-                fitted[int(gids[r])] = AttractorClass("divergent", evidence={"escape_step": e.step})
-                continue
-            fitted[int(gids[r])] = _circle_test(tail, p, opts, (float(g1[r]), float(g2[r])))
+        # contracting; circle candidates record a y-only tail, as classify does
+        cand = np.flatnonzero(alive & ~cha & ~(g1 < -eps) & (g2 < -eps))
+        n_tail = 3 * opts.circle_points
+        for c in _chunks(cand.size, n_tail + 2):
+            rs = cand[c]
+            with np.errstate(all="ignore"):
+                Y = _window(lx[rs], ly[rs], lM[rs], lB[rs], R, n_tail)
+            gone, at = _exits(Y, rad)
+            escape_step[gids[rs[gone]]] = step_no + opts.span + at
+            for j, r in zip(np.flatnonzero(~gone), rs[~gone]):
+                p = GhmParams(float(lM[r]), float(lB[r]), R)
+                out[gids[r]] = _circle_test(np.column_stack((Y[1:-1, j], Y[2:, j])), p, opts,
+                                            (float(g1[r]), float(g2[r])))
+            del Y
 
-    out = []
-    names = ("divergent", "sink", "chaotic", "circle", "undecided")
+    names = ("undecided", "sink", "chaotic")
     for j in range(n):
-        name = names[verdict[j]]
-        if j in fitted:
-            out.append(fitted[j])
-        elif name == "divergent":
-            out.append(AttractorClass(name, evidence={"escape_step": int(escape_step[j])}))
+        if out[j] is not None:
+            continue
+        if escape_step[j]:
+            out[j] = AttractorClass("divergent", evidence={"escape_step": int(escape_step[j])})
         else:
-            lam = None if math.isnan(l1[j]) else (float(l1[j]), float(l2[j]))
-            out.append(AttractorClass(name, period=int(period[j]) if name == "sink" else None,
-                                      lyapunov=lam))
+            ls = None if math.isnan(lam[j, 0]) else (float(lam[j, 0]), float(lam[j, 1]))
+            out[j] = AttractorClass(names[verdict[j]], lyapunov=ls,
+                                    period=int(period[j]) if verdict[j] == 1 else None)
     return out
 
 
@@ -662,16 +658,14 @@ def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: i
           opts: ClassifyOptions | None = None, threads: int = 1) -> SweepGrid:
     """Classify every cell of the inclusive (M, B) grid; row-major by B then M.
 
-    All nx*ny cells run through one schedule of recorded orbit windows,
-    compacted to the live cells as orbits escape; the period scan and the
-    Lyapunov phase are chunked by a cell cap that changes no cell, and circle
-    candidates record their tail with classify's scalar loop. The Lyapunov
-    phase renormalizes the tangent vector once per 16-step Jacobian product,
-    so a cell's exponents can differ from classify's step-by-step sums in
-    the last digits (more where the two paths seed or window the orbit
-    differently). A grid of more than MAX_GRID_CELLS cells raises ValueError.
-    threads is accepted (it must be >= 1) and has no effect on output or
-    speed: the cost is per numpy call, not per cell.
+    All nx*ny cells run through the same recorded orbit windows, compacted
+    to the live cells as orbits escape and chunked by caps that change no
+    cell. The Lyapunov phase renormalizes the tangent vector once per
+    16-step Jacobian product, so a cell's exponents can differ from
+    classify's step-by-step sums in the last digits (more where the two
+    paths seed or window the orbit differently). A grid of more than
+    MAX_GRID_CELLS cells raises ValueError. threads (>= 1) has no effect on
+    output or speed: the cost is per numpy call, not per cell.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")

@@ -184,9 +184,9 @@ def test_sweep_rejects_degenerate_grid(monkeypatch):
 
 
 def _assert_chunking_changes_no_cell(monkeypatch, args, opts, cells, verdicts):
-    # a cap of a few cells splits the period scan and the Lyapunov phase into
-    # many chunks, which must leave every cell, exponents and evidence
-    # included, as one chunk does
+    # a cap of a few cells splits the period scan, the Lyapunov phase and
+    # the circle tails into many chunks, which must leave every cell,
+    # exponents and evidence included, as one chunk does
     whole = sweep(*args, opts=opts)
     assert {c.verdict for c in whole.cells} == verdicts
     assert sum(c.verdict != "divergent" for c in whole.cells) > 2 * cells
@@ -216,6 +216,34 @@ def test_sweep_chunking_changes_no_circle_cell(monkeypatch):
     whole = _assert_chunking_changes_no_cell(monkeypatch, (-0.78, -0.70, 1.03, 1.07, 8, 6, 0.1),
                                              ClassifyOptions(span=20_000), 3, set(VERDICTS))
     assert [c.verdict for c in whole.cells].count("circle") == 5
+
+
+def test_sweep_records_stay_under_the_byte_cap(monkeypatch):
+    # under a 16 kB cap, burn-in windows over the 120 cells shorten to 15
+    # steps, and a long period scan, the Lyapunov phase and the circle tails
+    # record one cell at a time; no cell may change
+    args = (-0.78, -0.70, 1.03, 1.07, 12, 10, 0.1)
+    opts = ClassifyOptions(span=10_000, max_period=200, circle_points=2000)
+    whole = sweep(*args, opts=opts)
+    assert {"circle", "divergent", "sink"} <= {c.verdict for c in whole.cells}
+    records, window = [], attractor_classifier._window
+
+    def spy(x, *rest):
+        Y = window(x, *rest)
+        records.append(Y.shape)
+        return Y
+
+    cap = 1 << 14
+    monkeypatch.setattr(attractor_classifier, "_window", spy)
+    monkeypatch.setattr(attractor_classifier, "_CHUNK_BYTES", cap)
+    capped = sweep(*args, opts=opts)
+    assert capped.cells == whole.cells
+    assert [c.evidence for c in capped.cells] == [c.evidence for c in whole.cells]
+    assert (17, 120) in records
+    assert {4 * opts.max_period + 2, 3 * opts.circle_points + 2} <= {r for r, _ in records}
+    # every record fits the cap or holds one cell; the circle fits' vertex
+    # images (at most 5 rows of at most 256 vertices) fit it too
+    assert all(r * c * 8 <= cap or c == 1 for r, c in records)
 
 
 def test_sweep_grids_that_stop_before_the_lyapunov_phase():
