@@ -4,6 +4,12 @@ At omega = pi/3 and R = 0.1 the fixed point sheds a stable invariant circle
 as M passes the curve; the radius grows like sqrt(M - M_birth) and the
 rotation number starts at omega / 2pi = 1/6. The mirrored cross term
 R = -0.1 flips the cubic coefficient sign: no stable circle there.
+
+The sinks printed at dM = -0.01 (R = 0.1) and dM = +0.01 (R = -0.1) have
+multipliers of modulus about 0.9995. With the default options classify
+reports them undecided, with both exponents negative: the period scan after
+the 10 000-step burn-in comes before the orbit has settled on the fixed
+point. ClassifyOptions(burn_in=40_000) reports them as sinks.
 """
 
 import math

@@ -60,6 +60,7 @@ from .tangency_lab import (
     window_base_mu,
     asymptotic_params,
     window_invert,
+    window_mb,
     mount_window,
     fit_ghm,
     fit_ghm_series,

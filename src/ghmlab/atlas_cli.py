@@ -33,6 +33,7 @@ from .tangency_lab import (
     mount_window,
     tangency_jacobian,
     window_invert,
+    window_mb,
 )
 
 EXIT_OK = 0
@@ -335,8 +336,6 @@ def _cmd_sweep(args) -> int:
     threads = _resolve(args, cfg, "threads", 1)
     out = _resolve(args, cfg, "out")
     svg = _resolve(args, cfg, "svg")
-    if m_min >= m_max or b_min >= b_max:
-        raise CliError(EXIT_INVALID, "empty parameter rectangle")
     try:
         grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=threads)
     except ValueError as e:
@@ -423,18 +422,17 @@ def _cmd_window(args) -> int:
     tm = _need(args, cfg, "target_m")
     tb = _need(args, cfg, "target_b")
     out = _resolve(args, cfg, "out")
-    j1 = tangency_jacobian(DEFAULT_COEFFS)
     lines = ["n,target_M,target_B,mu,phi,M_back,B_back,err"]
     for n in ns:
         try:
             mu, phi = window_invert(sp, n, (tm, tb))
-            back = asymptotic_params(sp, mu, phi, n, j1)
+            M_back, B_back = window_mb(sp, mu, phi, n)
         except ValueError as e:
             raise CliError(EXIT_INVALID, str(e))
-        err = max(abs(back.M - tm), abs(back.B - tb))
+        err = max(abs(M_back - tm), abs(B_back - tb))
         lines.append(
             f"{n},{_fmt(tm)},{_fmt(tb)},{_fmt(mu)},{_fmt(phi)},"
-            f"{_fmt(back.M)},{_fmt(back.B)},{_fmt(err)}"
+            f"{_fmt(M_back)},{_fmt(B_back)},{_fmt(err)}"
         )
     _emit(out, "\n".join(lines) + "\n")
     return EXIT_OK

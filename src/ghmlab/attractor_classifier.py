@@ -1,31 +1,35 @@
 """Empirical long-run attractor classification for the map.
 
-classify() runs one orbit through a decision tree: escape -> divergent;
-short period verified by cycle multipliers -> sink; otherwise Lyapunov
-exponents split chaotic / circle-candidate / undecided, and circle
+sweep() classifies a batch of (M, B) cells in one pass, and classify() is
+the sweep of a one-cell batch, so a point gets the same bits from either.
+Each cell's orbit runs from its seed near a fixed point through burn-in, a
+4*max_period window scanned for a short period (verified by cycle
+multipliers -> sink), span steps of Lyapunov exponents that split chaotic /
+circle candidate / undecided, and a 3*circle_points tail on which circle
 candidates must pass a polygonal invariance test to be reported as
-invariant circles. sweep() evaluates a full (M, B) grid with the same
-tree in one pass batched over the live cells; its output is a pure
-function of the grid spec.
+invariant circles. Leaving the box |x|, |y| <= escape_radius makes a cell
+divergent: at the step it leaves, but in the Lyapunov span at the first
+16-step block end outside the box.
 
 Exponent convention: lambda_1 from tangent-vector growth, lambda_2 =
 <ln|det DT|> - lambda_1 (exact in 2D, same numbers as the two-vector QR
-scheme). classify renormalizes the tangent vector every step. sweep records
-orbit windows and renormalizes once per product of 16 consecutive Jacobians
-(Benettin et al., Meccanica 15, 1980); its orbits, escape steps and verdicts
-are those of a step-by-step loop, and its exponents differ from one only in
-the last digits.
+scheme). Orbit windows are recorded and the tangent vector renormalized
+once per product of 16 consecutive Jacobians (Benettin et al., Meccanica
+15, 1980). A cell whose block norm is not a normal double has no
+exponents: a superstable orbit annihilates its tangent vector, and a
+product can under- or overflow. A one-cell batch runs the same
+floating-point operations on Python floats, as numpy's per-call cost
+dominates at one cell.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ghm_core import DegenerateLineError, GhmParams, State2, eig2, fixed_points
+from .ghm_core import GhmParams, State2, eig2
 
 VERDICTS = ("sink", "circle", "chaotic", "divergent", "undecided")
 
@@ -56,7 +60,7 @@ class ClassifyOptions:
     circle_points: int = 8192
     circle_bins: int = 256
     gap_limit_deg: float = 10.0
-    # deterministic seed: offset from the chosen fixed point (see classify)
+    # deterministic seed: offset from the chosen fixed point (see _seeds)
     seed_offset: tuple[float, float] = (1e-3, 2e-3)
 
     def __post_init__(self):
@@ -116,69 +120,7 @@ def _as_xy(tail) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks
-
-
-def _orbit(p: GhmParams, x: float, y: float, n: int, rad: float, ys=None, k0: int = 0):
-    """(x, y) after n map steps; each new y is appended to ys when given.
-
-    Step k out of the box |x|, |y| <= rad raises OrbitEscapedError(k0 + k).
-    A step tests its new y alone, since its new x is the y tested a step
-    earlier (or the start y); nan and inf fail the test.
-    """
-    M, B, R = p.M, p.B, p.R
-    if not abs(y) <= rad:
-        raise OrbitEscapedError(k0 + 1)
-    put = None if ys is None else ys.append
-    for k in range(n):
-        x, y = y, M - B * x - y * y - R * x * y
-        if not abs(y) <= rad:
-            raise OrbitEscapedError(k0 + k + 1)
-        if put:
-            put(y)
-    return x, y
-
-
-def lyapunov_exponents(p: GhmParams, s0: State2, burn_in: int, span: int,
-                       escape_radius: float = 1.0e6) -> tuple[float, float]:
-    """Both Lyapunov exponents in nats/iterate along the orbit of s0.
-
-    Raises OrbitEscapedError if the orbit leaves escape_radius during
-    burn_in + span, and ValueError for span < 1000, burn_in < 0 or an
-    escape radius that is not positive and finite. A tangent vector
-    annihilated exactly (superstable orbit) short-circuits to (-inf, -inf).
-    """
-    if span < 1000:
-        raise ValueError("span must be >= 1000 for a meaningful average")
-    rad = escape_radius
-    if burn_in < 0 or not (math.isfinite(rad) and rad > 0.0):
-        raise ValueError("burn_in must be >= 0 and the escape radius positive and finite")
-    x, y = _orbit(p, s0.x, s0.y, burn_in, rad)
-    M, B, R = p.M, p.B, p.R
-    log, hypot, ninf = math.log, math.hypot, -math.inf
-    # det DT = B + R*y and R*x once per step (-B - R*y is exactly -det); det is B at R = 0
-    flat = R == 0.0
-    logb = log(abs(B)) if B != 0.0 else ninf
-    v1 = v2 = _INV_SQRT2
-    slog = sdet = 0.0
-    for k in range(span):
-        det = B + R * y
-        rx = R * x
-        w2 = (-2.0 * y - rx) * v2 - det * v1
-        nrm = hypot(v2, w2)
-        if nrm == 0.0:
-            return (ninf, ninf)
-        slog += log(nrm)
-        v1, v2 = v2 / nrm, w2 / nrm
-        sdet += logb if flat else (log(abs(det)) if det != 0.0 else ninf)
-        x, y = y, M - B * x - y * y - rx * y
-        if not abs(y) <= rad:
-            raise OrbitEscapedError(burn_in + k + 1)
-    l1 = slog / span
-    s = sdet / span
-    if l1 < s - l1:  # tangent alignment cannot beat the sum rule in 2D
-        l1 = s - l1
-    return (l1, s - l1)
+# tail analysis
 
 
 def detect_period(orbit_tail, max_period: int, tol: float) -> int | None:
@@ -267,21 +209,6 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int 
 # classification
 
 
-def _seed_point(p: GhmParams, opts: ClassifyOptions) -> State2:
-    """Deterministic initial condition: near an attracting fixed point when one
-    exists, else near the fixed point of smallest |x|, else the origin."""
-    try:
-        reports = fixed_points(p)
-    except DegenerateLineError:
-        reports = []
-    if not reports:
-        return State2(0.0, 0.0)
-    att = [r for r in reports if r.stability == "attracting"]
-    rep = att[0] if att else min(reports, key=lambda r: abs(r.point.x))
-    dx, dy = opts.seed_offset
-    return State2(rep.point.x + dx, rep.point.y + dy)
-
-
 def _verify_cycle(p: GhmParams, cycle: np.ndarray) -> tuple[bool, tuple[float, float]]:
     """Check the detected k-cycle is linearly attracting; per-iterate exponents."""
     k = len(cycle)
@@ -331,50 +258,8 @@ def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov
     return AttractorClass("undecided", lyapunov=lyapunov, evidence={"circle_fit": fails})
 
 
-def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | None = None) -> AttractorClass:
-    """Long-run attractor verdict at parameter p. Undecided is a verdict."""
-    opts = opts or ClassifyOptions()
-    if s0 is None:
-        s0 = _seed_point(p, opts)
-    rad = opts.escape_radius
-    tail_len = max(4 * opts.max_period, 3 * opts.circle_points)
-    try:  # the tail is kept as y only: point k is (y_k, y_k+1), as x_k+1 = y_k
-        x, y = _orbit(p, s0.x, s0.y, opts.burn_in, rad)
-        ys = array("d", (y,))
-        x, y = _orbit(p, x, y, tail_len, rad, ys, opts.burn_in)
-    except OrbitEscapedError as e:
-        return AttractorClass("divergent", evidence={"escape_step": e.step})
-    yv = np.frombuffer(ys)
-    tail = np.column_stack((yv[:-1], yv[1:]))
-
-    per = detect_period(tail[-4 * opts.max_period :], opts.max_period, opts.period_tol)
-    if per is not None:
-        ok, lams = _verify_cycle(p, tail[-per:])
-        if ok and lams[0] < -opts.eps_lyap:
-            return AttractorClass("sink", period=per, lyapunov=lams,
-                                  evidence={"cycle_multiplier_check": True})
-        # neutral or weakly attracting cycle: fall through to the exponent tests
-
-    try:
-        l1, l2 = lyapunov_exponents(p, State2(x, y), 0, opts.span, rad)
-    except OrbitEscapedError as e:
-        return AttractorClass("divergent", evidence={"escape_step": opts.burn_in + tail_len + e.step})
-
-    eps = opts.eps_lyap
-    if l1 > eps:
-        return AttractorClass("chaotic", lyapunov=(l1, l2))
-    if l1 < -eps:
-        # contracting but no short period found: likely a long-period sink
-        return AttractorClass("undecided", lyapunov=(l1, l2),
-                              evidence={"note": "contracting, period > max_period?"})
-    if l2 < -eps:
-        # neutral along the orbit, contracting transversally: circle candidate
-        return _circle_test(tail, p, opts, (l1, l2))
-    return AttractorClass("undecided", lyapunov=(l1, l2))
-
-
 # ---------------------------------------------------------------------------
-# grid sweep (batched over live cells, deterministic)
+# the classification pass (batched over live cells, deterministic)
 
 # no cell depends on the chunking of a phase (_chunks) or on its window
 # lengths; the Lyapunov phase renormalises once per _LYAP_BLOCK steps
@@ -402,9 +287,21 @@ def _largest_modulus(tr, det):
 def _window(x, y, M, B, R, w):
     """Record of w map steps from (x, y), one cell per column: row 0 is x and
     row j + 1 the y after j steps, so the state after step j is rows (j, j + 1).
-    Every vector map step of the module is taken here, in place, in the
-    operand order M - B*x - y*y - (R*x)*y."""
-    Y = np.empty((w + 2,) + np.shape(x))
+    Every map step of the module is taken here, in the operand order
+    M - B*x - y*y - (R*x)*y: in place over a batch, or on Python floats for
+    one cell, which gives the same bits."""
+    shape = (w + 2,) + np.shape(x)
+    if np.size(x) == 1:
+        def steps(x, y, M, B, R):
+            yield x
+            yield y
+            for _ in range(w):
+                x, y = y, M - B * x - y * y - (R * x) * y
+                yield y
+
+        cell = (float(np.ravel(v)[0]) for v in (x, y, M, B, R))
+        return np.fromiter(steps(*cell), float, w + 2).reshape(shape)
+    Y = np.empty(shape)
     Y[0], Y[1] = x, y
     T = np.empty(np.shape(x))
     rows = list(Y)
@@ -445,6 +342,26 @@ def _block_products(a, d):
     return p, q, r, t
 
 
+def _block_norms(a, d, v1, v2, out):
+    """One cell's _block_products and renormalizations on Python floats, in
+    the same operations as the batch, so in the same bits: a and d are the
+    cell's lists of Jacobian entries, v1 and v2 its tangent vector as
+    (1,) arrays, and out gets the norm of each _LYAP_BLOCK-step product.
+    np.hypot, not math.hypot, as the two differ in the last bit."""
+    K, hypot = _LYAP_BLOCK, np.hypot
+    v1, v2 = float(v1[0]), float(v2[0])
+    for b, j in enumerate(range(0, len(a), K)):
+        p, q, r, t = 1.0, 0.0, 0.0, 1.0
+        for aj, dj in zip(a[j : j + K], d[j : j + K]):
+            p, r = r, aj * r - dj * p
+            q, t = t, aj * t - dj * q
+        w1 = p * v1 + q * v2
+        w2 = r * v1 + t * v2
+        out[b] = nrm = hypot(w1, w2)  # a numpy float: w1 / 0.0 does not raise
+        v1, v2 = w1 / nrm, w2 / nrm
+    return np.array([v1]), np.array([v2])
+
+
 def _lyapunov_windows(x, y, M, B, R, span, rad):
     """Exponent sums over span map steps from (x, y), one cell per element.
 
@@ -453,10 +370,11 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     the tangent vector is renormalized after each product. Returns (slog,
     sdet, x, y, esc): sums of log block norm and of log|det DT|, the end
     state, and the step after which a cell was first outside rad (0 if
-    never), tested at block ends as the step loop did. slog is nan when a
-    block norm is not a normal double: an annihilated tangent vector, or a
-    product that under- or overflowed (mean |det DT| below ~1e-38, or
-    entries above ~1e19). A cell's sums run in an order set by its own data.
+    never), tested at block ends. slog is nan when a block norm is not a
+    normal double: an annihilated tangent vector, or a product that under-
+    or overflowed (mean |det DT| below ~1e-38, or entries above ~1e19). A
+    cell's sums run in an order set by its own data, so a one-cell batch,
+    whose products _block_norms forms, gets the bits of any batch.
     """
     n = x.size
     out = [np.full(n, np.nan) for _ in range(4)]
@@ -481,19 +399,22 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         np.subtract(dw, aw, aw)  # -2y - R x
         np.multiply(Y[1:-1], R, dw)
         np.add(dw, B, dw)
-        nb, rem = divmod(w, K)
-        blocks = list(zip(*_block_products(aw[: nb * K].reshape(nb, K, m),
-                                           dw[: nb * K].reshape(nb, K, m))))
-        if rem:
-            blocks += zip(*_block_products(aw[nb * K :].reshape(1, rem, m),
-                                           dw[nb * K :].reshape(1, rem, m)))
-        N = np.empty((len(blocks) + 1, m))
+        N = np.empty((-(-w // K) + 1, m))  # slog, then one norm per block
         N[0] = slog
-        for b, (p, q, r, t) in enumerate(blocks, 1):
-            w1 = p * v1 + q * v2
-            w2 = r * v1 + t * v2
-            nrm = np.hypot(w1, w2, out=N[b])
-            v1, v2 = w1 / nrm, w2 / nrm
+        if m == 1:
+            v1, v2 = _block_norms(aw[:, 0].tolist(), dw[:, 0].tolist(), v1, v2, N[1:, 0])
+        else:
+            nb, rem = divmod(w, K)
+            blocks = list(zip(*_block_products(aw[: nb * K].reshape(nb, K, m),
+                                               dw[: nb * K].reshape(nb, K, m))))
+            if rem:
+                blocks += zip(*_block_products(aw[nb * K :].reshape(1, rem, m),
+                                               dw[nb * K :].reshape(1, rem, m)))
+            for b, (p, q, r, t) in enumerate(blocks, 1):
+                w1 = p * v1 + q * v2
+                w2 = r * v1 + t * v2
+                nrm = np.hypot(w1, w2, out=N[b])
+                v1, v2 = w1 / nrm, w2 / nrm
         # a norm outside the normal range has no usable log: 0 for an
         # annihilated tangent vector, subnormal or inf for a product that
         # under- or overflowed; nan stays sticky in the step-order sum
@@ -521,8 +442,8 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
 
 
 def _seeds(M, B, R, opts: ClassifyOptions):
-    """Start (x, y) of every cell, by classify's policy: near the attracting
-    fixed point if any, else the fixed point of smallest |x|, else the origin."""
+    """Start (x, y) of every cell: opts.seed_offset off the attracting fixed
+    point if any, else off the fixed point of smallest |x|, else the origin."""
     a = 1.0 + R
     b1 = 1.0 + B
     with np.errstate(all="ignore"):
@@ -542,10 +463,42 @@ def _seeds(M, B, R, opts: ClassifyOptions):
     return np.where(hasfp, xs + dx, 0.0), np.where(hasfp, xs + dy, 0.0)
 
 
-def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
+def _burn_in(live, x, y, M, B, R, steps, rad, escape_step):
+    """Run the cells live, from (x, y), steps map steps in _LYAP_BLOCK-step
+    windows: longer, up to _LYAP_WINDOW steps, while a record holds at most
+    _CELLS * _LYAP_BLOCK doubles, and shorter on grids so large that a
+    record would pass _CHUNK_BYTES. A cell that leaves |x|, |y| <= rad gets
+    its step in escape_step and is dropped; returns the others' (live, x,
+    y, M, B)."""
+    n = live.size
+    w_max = min(max(_LYAP_BLOCK, _CELLS * _LYAP_BLOCK // n), _LYAP_WINDOW)
+    w_max = max(1, min(w_max, _CHUNK_BYTES // (8 * n) - 2))
+    for s in range(0, steps, w_max):
+        w = min(w_max, steps - s)
+        Y = _window(x, y, M, B, R, w)
+        gone, at = _exits(Y, rad)
+        escape_step[live[gone]] = s + at
+        keep = ~gone
+        live, x, y, M, B = live[keep], Y[w, keep], Y[w + 1, keep], M[keep], B[keep]
+        del Y  # before the next window's record is allocated
+        if not live.size:
+            break
+    return live, x, y, M, B
+
+
+def _exponents(slog, sdet, span):
+    """(l1, l2) from the sums of _lyapunov_windows; tangent alignment cannot
+    beat the sum rule in 2D, so l1 is the larger. nan where slog is nan."""
+    g1 = slog / span
+    gs = sdet / span
+    g1 = np.maximum(g1, gs - g1)
+    return g1, gs - g1
+
+
+def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
+    """Verdicts of the cells (M, B) whose orbits start at (x, y)."""
     n = M.size
     rad = opts.escape_radius
-    x, y = _seeds(M, B, R, opts)
 
     # 0 undecided, 1 sink, 2 chaotic; a cell with an escape step is divergent
     verdict = np.zeros(n, dtype=np.int8)
@@ -553,22 +506,9 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
     period = np.zeros(n, dtype=np.int32)
     lam = np.full((n, 2), np.nan)
     out: list = [None] * n  # circle candidates' verdicts, set as they are fitted
-    live = np.arange(n)
 
     with np.errstate(all="ignore"):
-        # burn-in in _LYAP_BLOCK-step windows, shorter on grids so large that
-        # a window's record would pass _CHUNK_BYTES
-        w_max = max(1, min(_LYAP_BLOCK, _CHUNK_BYTES // (8 * n) - 2))
-        for s in range(0, opts.burn_in, w_max):
-            w = min(w_max, opts.burn_in - s)
-            Y = _window(x, y, M, B, R, w)
-            gone, at = _exits(Y, rad)
-            escape_step[live[gone]] = s + at
-            keep = ~gone
-            live, x, y, M, B = live[keep], Y[w, keep], Y[w + 1, keep], M[keep], B[keep]
-            del Y  # before the next window's record is allocated
-            if not live.size:
-                break
+        live, x, y, M, B = _burn_in(np.arange(n), x, y, M, B, R, opts.burn_in, rad, escape_step)
 
         # period scan of a 4*max_period tail, whose chunk holds up to four
         # arrays of its record's size: a period-k hit is max|y_j+k - y_j| < tol,
@@ -613,10 +553,7 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
             parts = [_lyapunov_windows(lx[c], ly[c], lM[c], lB[c], R, opts.span, rad)
                      for c in _chunks(gids.size, 3 * _LYAP_WINDOW + 2)]
             slog, sdet, lx, ly, esc = (np.concatenate(v) for v in zip(*parts))
-            g1 = slog / opts.span
-            gs = sdet / opts.span
-            g1 = np.maximum(g1, gs - g1)  # nan at a superstable cell: -inf - -inf
-            g2 = gs - g1
+            g1, g2 = _exponents(slog, sdet, opts.span)
         alive = esc == 0
         escape_step[gids[~alive]] = step_no + esc[~alive]
         lam[gids[alive]] = np.column_stack((g1, g2))[alive]
@@ -626,7 +563,7 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
         verdict[gids[cha]] = 2  # chaotic
         # alive cells that are neither chaotic nor circle candidates stay
         # undecided: contracting without a short period, or not transversally
-        # contracting; circle candidates record a y-only tail, as classify does
+        # contracting; circle candidates record a y-only tail for the fit
         cand = np.flatnonzero(alive & ~cha & ~(g1 < -eps) & (g2 < -eps))
         n_tail = 3 * opts.circle_points
         for c in _chunks(cand.size, n_tail + 2):
@@ -654,18 +591,68 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions) -> list[AttractorClass]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# public entry points
+
+
+def lyapunov_exponents(p: GhmParams, s0: State2, burn_in: int, span: int,
+                       escape_radius: float = 1.0e6) -> tuple[float, float]:
+    """Both Lyapunov exponents in nats/iterate along the orbit of s0.
+
+    The orbit runs burn_in steps, then span steps of the sweep's Lyapunov
+    kernel on one cell. Raises OrbitEscapedError if it leaves the box |x|,
+    |y| <= escape_radius: in the burn-in at the step it leaves, in the span
+    at the first 16-step block end outside the box. Returns (nan, nan) for
+    an orbit without exponents: a superstable one, or one whose block
+    product under- or overflows. ValueError for span < 1000, burn_in < 0
+    or an escape radius that is not positive and finite.
+    """
+    if span < 1000:
+        raise ValueError("span must be >= 1000 for a meaningful average")
+    rad = escape_radius
+    if burn_in < 0 or not (math.isfinite(rad) and rad > 0.0):
+        raise ValueError("burn_in must be >= 0 and the escape radius positive and finite")
+    x, y, M, B = (np.array([v]) for v in (s0.x, s0.y, p.M, p.B))
+    esc = np.zeros(1, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        _, x, y, M, B = _burn_in(np.arange(1), x, y, M, B, p.R, burn_in, rad, esc)
+        if esc[0]:
+            raise OrbitEscapedError(int(esc[0]))
+        slog, sdet, _, _, esc = _lyapunov_windows(x, y, M, B, p.R, span, rad)
+        if esc[0]:
+            raise OrbitEscapedError(burn_in + int(esc[0]))
+        l1, l2 = _exponents(slog, sdet, span)
+    return (float(l1[0]), float(l2[0]))
+
+
+def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | None = None) -> AttractorClass:
+    """Long-run attractor verdict at parameter p. Undecided is a verdict.
+
+    The sweep of a one-cell batch, seeded as sweep seeds it unless s0 is
+    given: its verdict, period, exponents, rotation number and evidence are
+    the bits of p's cell in any sweep grid that holds p. Superstable orbits
+    and block products that under- or overflow leave no exponents.
+    """
+    opts = opts or ClassifyOptions()
+    M, B = np.array([p.M]), np.array([p.B])
+    if s0 is None:
+        x, y = _seeds(M, B, p.R, opts)
+    else:
+        x, y = np.array([s0.x]), np.array([s0.y])
+    return _sweep_cells(M, B, p.R, opts, x, y)[0]
+
+
 def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: int, R: float,
           opts: ClassifyOptions | None = None, threads: int = 1) -> SweepGrid:
     """Classify every cell of the inclusive (M, B) grid; row-major by B then M.
 
     All nx*ny cells run through the same recorded orbit windows, compacted
     to the live cells as orbits escape and chunked by caps that change no
-    cell. The Lyapunov phase renormalizes the tangent vector once per
-    16-step Jacobian product, so a cell's exponents can differ from
-    classify's step-by-step sums in the last digits (more where the two
-    paths seed or window the orbit differently). A grid of more than
-    MAX_GRID_CELLS cells raises ValueError. threads (>= 1) has no effect on
-    output or speed: the cost is per numpy call, not per cell.
+    cell, so each cell is classify's verdict at its point, bit for bit.
+    ValueError for a grid below 2x2 or above MAX_GRID_CELLS cells, bounds,
+    R, width or height that are not finite, and an empty rectangle (m_min
+    >= m_max or b_min >= b_max). threads (>= 1) has no effect on output or speed: the
+    cost is per numpy call, not per cell.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
@@ -675,8 +662,12 @@ def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: i
         raise ValueError("threads must be >= 1")
     if not all(math.isfinite(v) for v in (m_min, m_max, b_min, b_max, R)):
         raise ValueError("grid bounds and R must be finite")
+    if not (math.isfinite(m_max - m_min) and math.isfinite(b_max - b_min)):
+        raise ValueError("the rectangle's width and height must be finite")  # for linspace
+    if m_min >= m_max or b_min >= b_max:
+        raise ValueError("empty parameter rectangle")
     opts = opts or ClassifyOptions()
-    Ms = np.linspace(m_min, m_max, nx)
-    Bs = np.linspace(b_min, b_max, ny)
-    cells = _sweep_cells(np.tile(Ms, ny), np.repeat(Bs, nx), R, opts)
+    M = np.tile(np.linspace(m_min, m_max, nx), ny)
+    B = np.repeat(np.linspace(b_min, b_max, ny), nx)
+    cells = _sweep_cells(M, B, R, opts, *_seeds(M, B, R, opts))
     return SweepGrid(m_min, m_max, b_min, b_max, nx, ny, R, tuple(cells))

@@ -288,23 +288,26 @@ def asymptotic_params(
     """Leading-order rescaled parameters of the n-th return window.
 
     M = gamma^2n mu, B = (lam gamma)^n cos(n phi), R = 2 j1 (lam^2 gamma)^n / B.
-    All suppressed correction terms are dropped. Rejected when |B| falls
-    inside the excluded ball where the R formula degenerates.
+    All suppressed correction terms are dropped. Rejected when B falls in
+    the strip |B| < excluded_radius, where the R formula degenerates; the
+    window map alone is window_mb.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    M, B = _window_mb(spectrum, mu, phi, n)
+    M, B = window_mb(spectrum, mu, phi, n)
     if abs(B) < excluded_radius:
         raise ValueError(
-            f"|B|={abs(B):.6g} inside the excluded ball (radius {excluded_radius:g}); "
-            "the R asymptotics degenerate near B=0"
+            f"|B|={abs(B):.6g} inside the strip |B| < {excluded_radius:g}, "
+            "where the R asymptotics degenerate near B=0"
         )
     R = 2.0 * j1 * (spectrum.lam**2 * spectrum.gamma) ** n / B
     return RescaledParams(M, B, R, "asymptotic")
 
 
-def _window_mb(spectrum: SaddleSpectrum, mu: float, phi: float, n: int) -> tuple[float, float]:
-    """Leading-order (M, B) = (gamma^2n mu, (lam gamma)^n cos(n phi)) of window n."""
+def window_mb(spectrum: SaddleSpectrum, mu: float, phi: float, n: int) -> tuple[float, float]:
+    """Leading-order (M, B) = (gamma^2n mu, (lam gamma)^n cos(n phi)) of
+    window n, the forward map that window_invert inverts. ValueError when
+    gamma^2n overflows."""
     try:
         return (spectrum.gamma ** (2 * n) * mu,
                 (spectrum.lam * spectrum.gamma) ** n * math.cos(n * phi))
@@ -342,7 +345,7 @@ def window_invert(
     # acos lands in [0, pi], which is exactly the branch nearest pi/2
     phi = math.acos(v) / n
     mu = M * spectrum.gamma ** (-2 * n)
-    M_back, B_back = _window_mb(spectrum, mu, phi, n)
+    M_back, B_back = window_mb(spectrum, mu, phi, n)
     err = max(abs(M_back - M), abs(B_back - B))
     if not err <= ROUND_TRIP_TOL * max(1.0, abs(M), abs(B)):
         raise ValueError(f"n={n}: the round trip misses the target by {err:.3g}: "
@@ -599,8 +602,8 @@ class CoexistenceBox:
     lphi_band_margin: float = 0.9
 
     def __post_init__(self):
-        if self.phi_steps > MAX_PHI_STEPS:
-            raise ValueError(f"phi_steps exceeds the cap of {MAX_PHI_STEPS}")
+        if not 1 <= self.phi_steps <= MAX_PHI_STEPS:
+            raise ValueError(f"phi_steps must be in 1..{MAX_PHI_STEPS}")
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,17 @@ def test_window_round_trip_table(capsys):
         assert 0.0 < float(f[4]) < math.pi
 
 
+def test_window_needs_only_the_ball_and_rescale_the_strip(capsys):
+    # (1, 0.2) lies outside window_invert's excluded ball hypot(M, B) < 0.25,
+    # so its window round trip is fine; rescale needs the asymptotic R,
+    # which degenerates in the strip |B| < 0.25, so it refuses the target
+    code, out, _ = run(capsys, "window", "--n", "5", "--target-m", "1", "--target-b", "0.2")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[7]) < 1e-12
+    code, out, err = run(capsys, "rescale", "--n", "5", "--target-m", "1", "--target-b", "0.2")
+    assert (code, out) == (3, "") and "strip |B| < 0.25" in err
+
+
 def test_coexist_same_indices_rejected(capsys):
     code, _, _ = run(capsys, "coexist", "--n-sink", "9", "--n-circle", "9")
     assert code == 3
@@ -223,6 +234,15 @@ def test_coexist_empty_search_is_success(tmp_path, capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "status=none"
     assert "probes=0" in lines
+
+
+def test_coexist_refuses_a_phi_scan_without_steps(tmp_path, capsys):
+    # no angle to scan is invalid input, not a completed empty search
+    ini = tmp_path / "box.ini"
+    for steps in ("0", "-1"):
+        ini.write_text(f"[coexist]\nphi_steps = {steps}\n")
+        code, out, err = run(capsys, "coexist", "--config", str(ini))
+        assert (code, out) == (3, "") and "phi_steps must be in 1.." in err
 
 
 def test_coexist_hit_report(capsys):

@@ -1,5 +1,5 @@
 """Property tests of the command line's exit-code contract on `classify`,
-`curves`, `window` and `rescale`."""
+`sweep`, `curves`, `window` and `rescale`."""
 
 import contextlib
 import io
@@ -31,6 +31,10 @@ _SPECTRUM = _mostly(st.just((0.7, 1.8)), st.tuples(st.one_of(st.floats(0.0, 1.5)
 _N_LIST = _mostly(st.lists(st.integers(4, 20), min_size=1, max_size=3),
                   st.lists(st.integers(-2, 120), min_size=1, max_size=3)).map(
     lambda ns: ",".join(map(str, ns)))
+# sweep bounds (lo, hi) of one axis and its cell count in -1..3
+_AXIS = _mostly(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)).map(sorted),
+                st.tuples(_REALS, _REALS))
+_SIDE = _mostly(st.integers(2, 3), st.integers(-1, 1))
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
@@ -58,6 +62,17 @@ def test_classify_exit_codes_hold_for_any_real_input(M, B, R):
     if code == 0:  # a superstable sink prints -inf exponents, so only nan is ruled out
         assert "nan" not in out
         assert all(math.isfinite(v) for v in (M, B, R))
+
+
+@settings(_SETTINGS, max_examples=60)  # most examples exit 3 at once
+@given(m=_AXIS, b=_AXIS, R=_mostly(st.floats(-0.5, 0.5), _REALS), nx=_SIDE, ny=_SIDE)
+def test_sweep_exit_codes_hold_for_any_real_input(m, b, R, nx, ny):
+    bounds = zip(("--m-min", "--m-max", "--b-min", "--b-max"), (*m, *b))
+    code, out = _run(["sweep", *(_real(f, v) for f, v in bounds), _real("--R", R),
+                      "--nx", str(nx), "--ny", str(ny)])
+    if code == 0:  # lyap2 is -inf wherever B = R = 0, so only nan is ruled out
+        assert "nan" not in out
+        assert len(out.splitlines()) == nx * ny + 1
 
 
 @_SETTINGS

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghmlab.attractor_classifier import OrbitEscapedError, _orbit
+from ghmlab.attractor_classifier import _exits, _window
 from ghmlab.ghm_core import (
     DegenerateLineError,
     GhmParams,
@@ -143,28 +143,36 @@ def test_multiplier_ordering():
     assert abs(m1.imag) < 1e-15 and m1.real < 0 < m2.real  # arg pi beats arg 0
 
 
-# the scalar orbit loop is attractor_classifier._orbit: it returns the end
-# state, appends each new y to ys, and raises OrbitEscapedError(step) on escape
+# every map step is taken by attractor_classifier._window: row j + 1 of its
+# record is the y after j steps, and _exits reads off the record the step at
+# which an orbit leaves the box. A one-cell batch steps on Python floats, a
+# larger one in numpy; both must give the same bits
+
+
+def _orbit(p, x, y, n, rad=1e6):
+    """New ys of n steps from (x, y) and the escape step (0 if none), checked
+    equal on a one-cell batch and as one column of a three-cell batch."""
+    with np.errstate(all="ignore"):  # an escaped orbit runs on to inf and nan
+        one = _window(np.array([x]), np.array([y]), p.M, p.B, p.R, n)
+        three = _window(np.array([x, 0.0, x]), np.array([0.0, y, y]), p.M, p.B, p.R, n)
+    assert one.tobytes() == three[:, 2:].tobytes()
+    gone, at = _exits(one, rad)
+    return one[2:, 0].tolist(), int(at[0]) if gone[0] else 0
 
 
 def test_orbit_fixed_point_and_escape():
-    ys = []
-    assert _orbit(GhmParams(0, 0, 0), 0.0, 0.0, 9, 1e6, ys) == (0.0, 0.0)
-    assert ys == [0.0] * 9
+    assert _orbit(GhmParams(0, 0, 0), 0.0, 0.0, 9) == ([0.0] * 9, 0)
 
-    ys = []
-    with pytest.raises(OrbitEscapedError) as err:
-        _orbit(GhmParams(-1.0, 0.0, 0.0), 0.0, 0.0, 10_000, 1e6, ys)
-    assert 1 <= err.value.step <= 10_000
-    assert len(ys) == err.value.step - 1  # the escaping y is not recorded
+    ys, esc = _orbit(GhmParams(-1.0, 0.0, 0.0), 0.0, 0.0, 10_000)
+    assert 1 <= esc <= 10_000
+    ys = np.array(ys[: esc - 1])  # the ys before the escaping one
     assert np.isfinite(ys).all() and np.abs(ys).max() <= 1e6
 
 
 def test_orbit_period_two_above_flip():
     # B = R = 0 reduces to ybar = M - y**2; at M = 1 the 1D map has an
     # attracting 2-cycle {0, 1}
-    ys = []
-    _orbit(GhmParams(1.0, 0.0, 0.0), 0.0, 0.1, 4999, 1e6, ys)
+    ys, _ = _orbit(GhmParams(1.0, 0.0, 0.0), 0.0, 0.1, 4999)
     tail = np.array(ys[-20:])
     tgt = np.tile([0.0, 1.0], 10)
     assert min(np.abs(tail - tgt).max(), np.abs(tail - np.roll(tgt, 1)).max()) < 1e-8
@@ -175,15 +183,11 @@ def test_orbit_reduces_to_1d_map_when_B_and_R_vanish():
     for _ in range(50):
         M = rng.uniform(-0.2, 1.9)
         y0 = rng.uniform(-0.5, 0.5)
-        ys = [y0]
-        try:
-            _orbit(GhmParams(M, 0.0, 0.0), rng.uniform(-1, 1), y0, 199, 1e6, ys)
-        except OrbitEscapedError:
-            pass
+        ys, esc = _orbit(GhmParams(M, 0.0, 0.0), rng.uniform(-1, 1), y0, 199)
         y = y0
-        for got in ys:
-            assert abs(got - y) <= 1e-12 * max(1.0, abs(y))
+        for got in ys[: esc - 1 if esc else None]:
             y = M - y * y
+            assert abs(got - y) <= 1e-12 * max(1.0, abs(y))
 
 
 def test_params_reject_non_finite():
