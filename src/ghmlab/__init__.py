@@ -15,8 +15,6 @@ from .ghm_core import (
     State2,
     FixedPointReport,
     DegenerateLineError,
-    step,
-    jacobian,
     fixed_points,
     multipliers_at,
 )

@@ -1,7 +1,9 @@
 """Command-line front end: curves, sweeps, classification, rescaling tables.
 
 Every command is a pure function of its resolved configuration: flags beat
-config-file values, config-file values beat built-in defaults. All real
+config-file values, config-file values beat built-in defaults. One table,
+_COMMANDS, declares each option once (flag, type, default, help); the
+argument parsers, the config schema and _options derive from it. All real
 numbers are printed with 17 significant digits so the text round-trips to
 the identical double. Exit codes: 0 success (including an empty search
 result), 2 I/O failure, 3 invalid input.
@@ -13,6 +15,7 @@ import argparse
 import configparser
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -70,63 +73,23 @@ def _emit(out: str | None, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration files
+# options
 #
-# INI-style, one section per command, keys named like the long flags with
-# underscores. Unknown sections or keys are rejected outright.
+# _COMMANDS (below the commands) gives each option one row: flag, type,
+# default and optional help. Its config key, in the INI section named after
+# the command, is the flag in lower case with '-' as '_'; coexist's search
+# box adds config-only keys, one per CoexistenceBox field. Unknown sections
+# or keys are rejected outright.
 
-_BOX_KEYS = {
-    "phi_lo": float,
-    "phi_hi": float,
-    "phi_steps": int,
-    "b_sink_max": float,
-    "b_circle_lo": float,
-    "b_circle_hi": float,
-    "m_sink_max": float,
-    "m_circle_offset": float,
-    "lphi_band_margin": float,
-}
-
-_SCHEMA: dict[str, dict[str, type]] = {
-    "curves": {"r": float, "samples": int, "out": str},
-    "sweep": {
-        "m_min": float,
-        "m_max": float,
-        "b_min": float,
-        "b_max": float,
-        "nx": int,
-        "ny": int,
-        "r": float,
-        "threads": int,
-        "out": str,
-        "svg": str,
-    },
-    "classify": {"m": float, "b": float, "r": float, "span": int, "out": str},
-    "rescale": {
-        "lambda": float,
-        "gamma": float,
-        "n": str,
-        "target_m": float,
-        "target_b": float,
-        "exact": bool,
-        "out": str,
-    },
-    "window": {
-        "lambda": float,
-        "gamma": float,
-        "n": str,
-        "target_m": float,
-        "target_b": float,
-        "out": str,
-    },
-    "coexist": dict(
-        {"lambda": float, "gamma": float, "n_sink": int, "n_circle": int, "out": str},
-        **_BOX_KEYS,
-    ),
-}
+_REQUIRED = object()  # default of an option without one
+_BOX = {f.name: type(f.default) for f in fields(CoexistenceBox)}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
+
+
+def _key(flag: str) -> str:
+    return flag.lstrip("-").lower().replace("-", "_")
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -168,21 +131,18 @@ def _load_config(path: str | None, command: str) -> dict:
     return got
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _need(args, cfg, key):
-    val = _resolve(args, cfg, key)
-    if val is None:
-        raise CliError(EXIT_INVALID, f"missing required parameter '{key}'")
-    return val
+def _options(args: argparse.Namespace, command: str) -> dict:
+    """Every option of command by its config key: the flag's value if given,
+    else the config file's, else the default; config-only keys as given."""
+    cfg = _load_config(args.config, command)
+    got = dict(cfg)
+    for flag, _, default, *_ in _COMMANDS[command][2]:
+        key = _key(flag)
+        val = getattr(args, key)
+        got[key] = cfg.get(key, default) if val is None else val
+        if got[key] is _REQUIRED:
+            raise CliError(EXIT_INVALID, f"missing required parameter '{key}'")
+    return got
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -195,11 +155,9 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def _spectrum(args, cfg) -> SaddleSpectrum:
-    lam = _resolve(args, cfg, "lambda", DEFAULT_SPECTRUM.lam)
-    gamma = _resolve(args, cfg, "gamma", DEFAULT_SPECTRUM.gamma)
+def _spectrum(o: dict) -> SaddleSpectrum:
     try:
-        return SaddleSpectrum(lam, gamma)
+        return SaddleSpectrum(o["lambda"], o["gamma"])
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
 
@@ -209,12 +167,10 @@ def _spectrum(args, cfg) -> SaddleSpectrum:
 
 
 def _cmd_curves(args) -> int:
-    cfg = _load_config(args.config, "curves")
-    R = _resolve(args, cfg, "r", 0.0)
-    samples = _resolve(args, cfg, "samples", 200)
-    out = _resolve(args, cfg, "out")
+    o = _options(args, "curves")
+    R = o["r"]
     try:
-        rows = trace_curves(R, samples)
+        rows = trace_curves(R, o["samples"])
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
     if not all(math.isfinite(s.M) and math.isfinite(s.B) for s in rows):
@@ -224,7 +180,7 @@ def _cmd_curves(args) -> int:
         lines.append(
             f"{s.curve_id},{_fmt(s.parameter)},{_fmt(s.M)},{_fmt(s.B)},{_fmt(s.R)}"
         )
-    _emit(out, "\n".join(lines) + "\n")
+    _emit(o["out"], "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -325,19 +281,11 @@ def _sweep_svg(grid) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, "sweep")
-    m_min = _need(args, cfg, "m_min")
-    m_max = _need(args, cfg, "m_max")
-    b_min = _need(args, cfg, "b_min")
-    b_max = _need(args, cfg, "b_max")
-    nx = _need(args, cfg, "nx")
-    ny = _need(args, cfg, "ny")
-    R = _resolve(args, cfg, "r", 0.0)
-    threads = _resolve(args, cfg, "threads", 1)
-    out = _resolve(args, cfg, "out")
-    svg = _resolve(args, cfg, "svg")
+    o = _options(args, "sweep")
+    m_min, m_max, b_min, b_max, nx, ny, R = (
+        o[k] for k in ("m_min", "m_max", "b_min", "b_max", "nx", "ny", "r"))
     try:
-        grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=threads)
+        grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=o["threads"])
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
     Ms = np.linspace(m_min, m_max, nx)
@@ -346,39 +294,29 @@ def _cmd_sweep(args) -> int:
     for j in range(ny):
         for i in range(nx):
             lines.append(_cell_row(float(Ms[i]), float(Bs[j]), R, grid.cells[j * nx + i]))
-    _emit(out, "\n".join(lines) + "\n")
-    if svg is not None:
-        _emit(svg, _sweep_svg(grid))
+    _emit(o["out"], "\n".join(lines) + "\n")
+    if o["svg"] is not None:
+        _emit(o["svg"], _sweep_svg(grid))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    cfg = _load_config(args.config, "classify")
-    M = _need(args, cfg, "m")
-    B = _need(args, cfg, "b")
-    R = _resolve(args, cfg, "r", 0.0)
-    span = _resolve(args, cfg, "span")
-    out = _resolve(args, cfg, "out")
+    o = _options(args, "classify")
+    M, B, R = o["m"], o["b"], o["r"]
     try:
-        opts = ClassifyOptions() if span is None else ClassifyOptions(span=span)
-        cell = classify(GhmParams(M, B, R), opts)
+        cell = classify(GhmParams(M, B, R), ClassifyOptions(span=o["span"]))
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
     lines = ["M,B,R,class,period,lyap1,lyap2,rotation", _cell_row(M, B, R, cell)]
-    _emit(out, "\n".join(lines) + "\n")
+    _emit(o["out"], "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_rescale(args) -> int:
-    cfg = _load_config(args.config, "rescale")
-    sp = _spectrum(args, cfg)
-    ns = _parse_n_list(_resolve(args, cfg, "n", "8,12,16"))
-    target = (
-        _resolve(args, cfg, "target_m", 1.0),
-        _resolve(args, cfg, "target_b", 0.5),
-    )
-    exact = bool(_resolve(args, cfg, "exact", False))
-    out = _resolve(args, cfg, "out")
+    o = _options(args, "rescale")
+    sp = _spectrum(o)
+    ns = _parse_n_list(o["n"])
+    target = (o["target_m"], o["target_b"])
     coeffs = DEFAULT_COEFFS
     j1 = tangency_jacobian(coeffs)
     lines = ["n,M_fit,B_fit,R_fit,M_asym,B_asym,R_asym,delta"]
@@ -390,7 +328,7 @@ def _cmd_rescale(args) -> int:
         except ValueError as e:
             raise CliError(EXIT_INVALID, str(e))
         try:
-            if exact:
+            if o["exact"]:
                 fit = fit_exact_map(asym)
             else:
                 fit = fit_ghm(mount_window(sp, coeffs, n, target))
@@ -404,7 +342,7 @@ def _cmd_rescale(args) -> int:
             f"{n},{_fmt(fit.M)},{_fmt(fit.B)},{_fmt(fit.R)},"
             f"{_fmt(asym.M)},{_fmt(asym.B)},{_fmt(asym.R)},{_fmt(delta)}"
         )
-    _emit(out, "\n".join(lines) + "\n")
+    _emit(o["out"], "\n".join(lines) + "\n")
     full = [d for d in deltas if d is not None]
     if len(full) == len(deltas):
         mono = all(b < a for a, b in zip(full, full[1:]))
@@ -416,12 +354,10 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    cfg = _load_config(args.config, "window")
-    sp = _spectrum(args, cfg)
-    ns = _parse_n_list(_resolve(args, cfg, "n", "5,10,20"))
-    tm = _need(args, cfg, "target_m")
-    tb = _need(args, cfg, "target_b")
-    out = _resolve(args, cfg, "out")
+    o = _options(args, "window")
+    sp = _spectrum(o)
+    ns = _parse_n_list(o["n"])
+    tm, tb = o["target_m"], o["target_b"]
     lines = ["n,target_M,target_B,mu,phi,M_back,B_back,err"]
     for n in ns:
         try:
@@ -434,20 +370,17 @@ def _cmd_window(args) -> int:
             f"{n},{_fmt(tm)},{_fmt(tb)},{_fmt(mu)},{_fmt(phi)},"
             f"{_fmt(M_back)},{_fmt(B_back)},{_fmt(err)}"
         )
-    _emit(out, "\n".join(lines) + "\n")
+    _emit(o["out"], "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_coexist(args) -> int:
-    cfg = _load_config(args.config, "coexist")
-    sp = _spectrum(args, cfg)
-    n_sink = _resolve(args, cfg, "n_sink", 10)
-    n_circle = _resolve(args, cfg, "n_circle", 14)
-    out = _resolve(args, cfg, "out")
-    overrides = {k: cfg[k] for k in _BOX_KEYS if k in cfg}
+    o = _options(args, "coexist")
+    sp = _spectrum(o)
+    n_sink, n_circle = o["n_sink"], o["n_circle"]
     log: list[dict] = []
     try:
-        box = CoexistenceBox(**overrides)
+        box = CoexistenceBox(**{k: v for k, v in o.items() if k in _BOX})
         hit = coexistence_search(sp, COEX_COEFFS, n_sink, n_circle, box=box, probe_log=log)
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
@@ -475,87 +408,70 @@ def _cmd_coexist(args) -> int:
             lines.append(f"fit_{tag}_R={_fmt(fit.R)}")
         lines.append(f"sigma_center_sink={_fmt(hit.sigma_center_sink)}")
         lines.append(f"sigma_center_circle={_fmt(hit.sigma_center_circle)}")
-    _emit(out, "\n".join(lines) + "\n")
+    _emit(o["out"], "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# argument wiring: one row per option, (flag, type, default[, help])
+
+_OUT = ("--out", str, None, "output path ('-' = stdout)")
+_SPECTRUM = (("--lambda", float, DEFAULT_SPECTRUM.lam), ("--gamma", float, DEFAULT_SPECTRUM.gamma))
+_COMMANDS = {
+    "curves": (_cmd_curves, "emit bifurcation-curve samples as CSV",
+               [("--R", float, 0.0), ("--samples", int, 200), _OUT]),
+    "sweep": (_cmd_sweep, "classify a (M, B) grid; CSV and optional SVG", [
+        ("--m-min", float, _REQUIRED),
+        ("--m-max", float, _REQUIRED),
+        ("--b-min", float, _REQUIRED),
+        ("--b-max", float, _REQUIRED),
+        ("--nx", int, _REQUIRED),
+        ("--ny", int, _REQUIRED),
+        ("--R", float, 0.0),
+        ("--threads", int, 1, "accepted for compatibility (>= 1); no effect on output or speed"),
+        ("--svg", str, None, "also render the grid to SVG"),
+        _OUT]),
+    "classify": (_cmd_classify, "classify a single parameter point", [
+        ("--M", float, _REQUIRED),
+        ("--B", float, _REQUIRED),
+        ("--R", float, 0.0),
+        ("--span", int, ClassifyOptions.span),
+        _OUT]),
+    "rescale": (_cmd_rescale, "fitted vs asymptotic window parameters", [
+        *_SPECTRUM,
+        ("--n", str, "8,12,16", "comma-separated return indices"),
+        ("--target-m", float, 1.0),
+        ("--target-b", float, 0.5),
+        ("--exact", bool, False, "fit synthetic data from the planar map itself (self-consistency)"),
+        _OUT]),
+    "window": (_cmd_window, "invert window targets to (mu, phi) and back", [
+        *_SPECTRUM,
+        ("--n", str, "5,10,20"),
+        ("--target-m", float, _REQUIRED),
+        ("--target-b", float, _REQUIRED),
+        _OUT]),
+    "coexist": (_cmd_coexist, "search for coexisting sink + circle windows", [
+        *_SPECTRUM, ("--n-sink", int, 10), ("--n-circle", int, 14), _OUT]),
+}
+_SCHEMA: dict[str, dict[str, type]] = {
+    command: {_key(flag): typ for flag, typ, *_ in rows}
+    for command, (_, _, rows) in _COMMANDS.items()
+}
+_SCHEMA["coexist"].update(_BOX)
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="ghmlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
+    for command, (func, about, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for flag, typ, _, *about_opt in rows:
+            # a bool is a switch; no flag has a default, so a config value shows through
+            kind = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
+            p.add_argument(flag, dest=_key(flag), default=None, help=(about_opt or [None])[0],
+                           **kind)
         p.add_argument("--config", type=str, default=None, help="INI config path")
-
-    p = sub.add_parser("curves", help="emit bifurcation-curve samples as CSV")
-    p.add_argument("--R", dest="r", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_curves)
-
-    p = sub.add_parser("sweep", help="classify a (M, B) grid; CSV and optional SVG")
-    p.add_argument("--m-min", dest="m_min", type=float, default=None)
-    p.add_argument("--m-max", dest="m_max", type=float, default=None)
-    p.add_argument("--b-min", dest="b_min", type=float, default=None)
-    p.add_argument("--b-max", dest="b_max", type=float, default=None)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--R", dest="r", type=float, default=None)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility (>= 1); no effect on output or speed",
-    )
-    p.add_argument("--svg", type=str, default=None, help="also render the grid to SVG")
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("classify", help="classify a single parameter point")
-    p.add_argument("--M", dest="m", type=float, default=None)
-    p.add_argument("--B", dest="b", type=float, default=None)
-    p.add_argument("--R", dest="r", type=float, default=None)
-    p.add_argument("--span", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("rescale", help="fitted vs asymptotic window parameters")
-    p.add_argument("--lambda", dest="lambda", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n", type=str, default=None, help="comma-separated return indices")
-    p.add_argument("--target-m", dest="target_m", type=float, default=None)
-    p.add_argument("--target-b", dest="target_b", type=float, default=None)
-    p.add_argument(
-        "--exact",
-        action="store_const",
-        const=True,
-        default=None,
-        help="fit synthetic data from the planar map itself (self-consistency)",
-    )
-    common(p)
-    p.set_defaults(func=_cmd_rescale)
-
-    p = sub.add_parser("window", help="invert window targets to (mu, phi) and back")
-    p.add_argument("--lambda", dest="lambda", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n", type=str, default=None)
-    p.add_argument("--target-m", dest="target_m", type=float, default=None)
-    p.add_argument("--target-b", dest="target_b", type=float, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_window)
-
-    p = sub.add_parser("coexist", help="search for coexisting sink + circle windows")
-    p.add_argument("--lambda", dest="lambda", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n-sink", dest="n_sink", type=int, default=None)
-    p.add_argument("--n-circle", dest="n_circle", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_coexist)
-
+        p.set_defaults(func=func)
     return top
 
 

@@ -112,41 +112,45 @@ class SweepGrid:
         return GhmParams(float(M), float(B), self.R)
 
 
-def _as_xy(tail) -> np.ndarray:
-    a = np.asarray(tail, float)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ValueError("orbit tail must be an (n, 2) array of phase points")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # tail analysis
 
 
-def detect_period(orbit_tail, max_period: int, tol: float) -> int | None:
-    """Smallest k <= max_period with sup-norm recurrence < tol over the whole tail."""
-    pts = _as_xy(orbit_tail)
+def detect_period(Y, max_period: int, tol: float) -> np.ndarray:
+    """Least period k <= max_period of each column of a _window record Y of
+    at least 4*max_period steps, else 0: max|y_j+k - y_j| < tol over the
+    record's ys, the (x, y) sup-norm test as x_j+1 = y_j. An orbit that left
+    the box can still read as periodic, so its column must not be passed."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    if len(pts) < 4 * max_period:
-        raise ValueError("tail must hold at least 4*max_period points")
+    L = len(Y) - 2
+    if np.ndim(Y) != 2 or L < 4 * max_period:
+        raise ValueError("Y must be a record of at least 4*max_period steps")
+    per = np.zeros(Y.shape[1], dtype=np.int64)
+    cols = np.arange(Y.shape[1])  # columns with no period yet
     for k in range(1, max_period + 1):
-        if np.abs(pts[k:] - pts[:-k]).max() < tol:
-            return k
-    return None
+        if not cols.size:
+            break
+        d = Y[1 + k :] - Y[1 : L + 2 - k]
+        hit = np.abs(d, out=d).max(axis=0) < tol
+        del d
+        if hit.any():
+            per[cols[hit]] = k
+            cols, Y = cols[~hit], Y[:, ~hit]
+    return per
 
 
 def _dist_to_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polygon through verts."""
-    a = verts
-    ab = np.roll(verts, -1, axis=0) - a  # (k, 2)
-    denom = (ab * ab).sum(axis=1)
+    """Distance from each point to the closed polygon through verts, on (m, k)
+    arrays per coordinate; sqrt, monotone and correctly rounded, follows the min."""
+    ax, ay = verts[:, 0], verts[:, 1]
+    bx, by = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    denom = bx * bx + by * by
     denom[denom == 0.0] = 1.0
-    aq = points[:, None, :] - a[None, :, :]  # (m, k, 2)
-    t = np.clip((aq * ab[None, :, :]).sum(axis=2) / denom[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d = np.linalg.norm(points[:, None, :] - proj, axis=2)
-    return d.min(axis=1)
+    px, py = points[:, :1], points[:, 1:]
+    t = np.clip(((px - ax) * bx + (py - ay) * by) / denom, 0.0, 1.0)
+    ex, ey = px - (ax + t * bx), py - (ay + t * by)
+    return np.sqrt((ex * ex + ey * ey).min(axis=1))
 
 
 def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int = 1,
@@ -161,7 +165,9 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int 
     The rotation number is the mean wrapped angular increment per time step,
     folded into (0, 0.5).
     """
-    pts = _as_xy(orbit_tail)
+    pts = np.asarray(orbit_tail, float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("orbit tail must be an (n, 2) array of phase points")
     if len(pts) < 2000:
         raise ValueError("need at least 2000 tail points to fit a circle")
     center = pts.mean(axis=0)
@@ -511,9 +517,8 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
         live, x, y, M, B = _burn_in(np.arange(n), x, y, M, B, R, opts.burn_in, rad, escape_step)
 
         # period scan of a 4*max_period tail, whose chunk holds up to four
-        # arrays of its record's size: a period-k hit is max|y_j+k - y_j| < tol,
-        # the (x, y) sup-norm test as x_j+1 = y_j; a hit verified as an
-        # attracting cycle is a sink, every other cell goes on
+        # arrays of its record's size; a hit verified as an attracting cycle
+        # is a sink, every other cell goes on
         L = 4 * opts.max_period
         lyap = []
         for c in _chunks(live.size, 4 * (L + 2)):
@@ -521,19 +526,10 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
             Y = _window(x[c], y[c], cM, cB, R, L)
             gone, at = _exits(Y, rad)
             escape_step[g[gone]] = opts.burn_in + at
-            cols = np.flatnonzero(~gone)  # chunk columns with no period yet
-            Z = Y[:, cols] if gone.any() else Y
-            per = np.zeros(g.size, dtype=np.int64)
-            for k in range(1, opts.max_period + 1):
-                if not cols.size:
-                    break
-                d = Z[1 + k :] - Z[1 : L + 2 - k]
-                hit = np.abs(d, out=d).max(axis=0) < opts.period_tol
-                del d
-                if hit.any():
-                    per[cols[hit]] = k
-                    cols, Z = cols[~hit], Z[:, ~hit]
             go_on = ~gone
+            per = np.zeros(g.size, dtype=np.int64)
+            per[go_on] = detect_period(Y[:, go_on] if gone.any() else Y, opts.max_period,
+                                       opts.period_tol)
             for j in np.flatnonzero(per):
                 k = per[j]
                 cyc = np.column_stack((Y[L - k + 1 : L + 1, j], Y[L - k + 2 :, j]))
@@ -543,7 +539,7 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
                     go_on[j] = False
             if go_on.any():
                 lyap.append((g[go_on], Y[L][go_on], Y[L + 1][go_on], cM[go_on], cB[go_on]))
-            del Y, Z  # not held into the next chunk or phase
+            del Y  # not held into the next chunk or phase
 
     if lyap:
         gids, lx, ly, lM, lB = (np.concatenate(v) for v in zip(*lyap))

@@ -1,6 +1,6 @@
-"""Generalized Henon map: exact iteration and linear analysis.
+"""Generalized Henon map: parameters, fixed points and their multipliers.
 
-The planar map is
+The planar map, iterated by attractor_classifier._window, is
 
     T(x, y) = (y, M - B*x - y**2 - R*x*y).
 
@@ -52,27 +52,12 @@ class State2:
     x: float
     y: float
 
-    @property
-    def escaped(self) -> bool:
-        # non-finite coordinates mark an orbit that left every bounded set
-        return not (math.isfinite(self.x) and math.isfinite(self.y))
-
 
 @dataclass(frozen=True)
 class FixedPointReport:
     point: State2
     multipliers: tuple[complex, complex]
     stability: str  # attracting | repelling | saddle | non-hyperbolic
-
-
-def step(p: GhmParams, s: State2) -> State2:
-    """One application of the map. Overflow propagates as inf/nan, never raises."""
-    x, y = s.x, s.y
-    return State2(y, p.M - p.B * x - y * y - p.R * x * y)
-
-
-def jacobian(p: GhmParams, s: State2) -> np.ndarray:
-    return np.array([[0.0, 1.0], [-p.B - p.R * s.y, -2.0 * s.y - p.R * s.x]])
 
 
 def eig2(tr: float, det: float) -> tuple[complex, complex]:

@@ -604,6 +604,8 @@ class CoexistenceBox:
     def __post_init__(self):
         if not 1 <= self.phi_steps <= MAX_PHI_STEPS:
             raise ValueError(f"phi_steps must be in 1..{MAX_PHI_STEPS}")
+        if not 0.0 < self.phi_lo <= self.phi_hi < math.pi:  # scanned upwards, as ReturnMapConfig
+            raise ValueError("the phi range must satisfy 0 < phi_lo <= phi_hi < pi")
 
 
 @dataclass(frozen=True)
@@ -709,15 +711,17 @@ def coexistence_search(
     R_c = np.where(B_c != 0.0, 2.0 * j1 * l2g**nc / np.where(B_c == 0.0, 1.0, B_c), np.inf)
 
     # circle side: inside the Lphi band (|B-1| strictly within the band the
-    # cross term R carves out), born stable only when R > 0
-    band = box.lphi_band_margin * np.abs(R_c) / np.abs(1.0 + R_c / 2.0)
-    ok = (
-        (np.abs(B_s) <= box.b_sink_max)
-        & (B_c >= box.b_circle_lo)
-        & (B_c <= box.b_circle_hi)
-        & (R_c > 0.0)
-        & (np.abs(B_c - 1.0) <= band)
-    )
+    # cross term R carves out), born stable only when R > 0; a band that
+    # overflows to inf (or is nan at R = inf) compares as it should
+    with np.errstate(all="ignore"):
+        band = box.lphi_band_margin * np.abs(R_c) / np.abs(1.0 + R_c / 2.0)
+        ok = (
+            (np.abs(B_s) <= box.b_sink_max)
+            & (B_c >= box.b_circle_lo)
+            & (B_c <= box.b_circle_hi)
+            & (R_c > 0.0)
+            & (np.abs(B_c - 1.0) <= band)
+        )
     if not ok.any():
         return None
 

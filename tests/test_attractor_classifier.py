@@ -63,18 +63,40 @@ def test_lyapunov_guards():
 
 
 def test_detect_period_basics():
-    assert detect_period(np.zeros((300, 2)), 64, 1e-10) == 1
-    two = np.array([(0.0, 1.0), (1.0, 0.0)] * 150)
-    assert detect_period(two, 64, 1e-10) == 2
-    # golden-mean rotation never closes up within period 64
-    k = np.arange(3000)
-    t = 2.0 * math.pi * 0.6180339887498949 * k
-    quasi = np.column_stack([np.cos(t), np.sin(t)])
-    assert detect_period(quasi, 64, 1e-8) is None
+    # columns of a 4*64-step record: a fixed point, a 2-cycle and a
+    # golden-mean rotation, which never closes up within period 64
+    L = 4 * 64
+    t = 2.0 * math.pi * 0.6180339887498949 * np.arange(L + 2)
+    Y = np.column_stack([np.zeros(L + 2), np.tile([0.0, 1.0], L // 2 + 1), np.cos(t)])
+    assert detect_period(Y, 64, 1e-8).tolist() == [1, 2, 0]
+    assert detect_period(Y[:, 1:], 64, 1e-8).tolist() == [2, 0]
+    assert detect_period(Y[:, :0], 64, 1e-8).tolist() == []
     with pytest.raises(ValueError):
-        detect_period(np.zeros((100, 2)), 64, 1e-8)  # tail shorter than 4*64
+        detect_period(Y[:-1], 64, 1e-8)  # record shorter than 4*64 steps
     with pytest.raises(ValueError):
-        detect_period(np.zeros((300, 2)), 0, 1e-8)
+        detect_period(Y, 0, 1e-8)
+
+
+def _reference_dist_to_polygon(points, verts):
+    # the (m, k, 2) formula _dist_to_polygon was first written as
+    ab = np.roll(verts, -1, axis=0) - verts
+    denom = (ab * ab).sum(axis=1)
+    denom[denom == 0.0] = 1.0
+    aq = points[:, None, :] - verts[None, :, :]
+    t = np.clip((aq * ab[None, :, :]).sum(axis=2) / denom[None, :], 0.0, 1.0)
+    proj = verts[None, :, :] + t[:, :, None] * ab[None, :, :]
+    return np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1)
+
+
+def test_dist_to_polygon_matches_its_array_formula_bitwise():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m, k = rng.integers(1, 40, size=2)
+        verts = rng.normal(size=(k, 2)) * rng.uniform(1e-3, 10.0)
+        verts[rng.random(k) < 0.2] = verts[0]  # zero-length edges
+        points = rng.normal(size=(m, 2))
+        got = attractor_classifier._dist_to_polygon(points, verts)
+        assert got.tobytes() == _reference_dist_to_polygon(points, verts).tobytes()
 
 
 def test_fit_circle_on_synthetic_ellipse():
@@ -395,6 +417,15 @@ def _reference_lyapunov_span(p, x, y, span, rad):
     return l1, s - l1, x, y
 
 
+def _reference_period(scan, max_period, tol):
+    # least k with sup-norm recurrence < tol over the whole (n, 2) scan
+    pts = np.array(scan)
+    for k in range(1, max_period + 1):
+        if np.abs(pts[k:] - pts[:-k]).max() < tol:
+            return k
+    return None
+
+
 def _reference_lyapunov_exponents(p, s0, burn_in, span, escape_radius=1.0e6):
     if span < 1000:
         raise ValueError("span must be >= 1000 for a meaningful average")
@@ -418,7 +449,7 @@ def _reference_classify(p, opts, s0=None):
     except OrbitEscapedError as e:
         return AttractorClass("divergent", evidence={"escape_step": e.step})
 
-    per = detect_period(np.array(scan), opts.max_period, opts.period_tol)
+    per = _reference_period(scan, opts.max_period, opts.period_tol)
     if per is not None:
         ok, lams = _verify_cycle(p, np.array(scan[-per:]))
         if ok and lams[0] < -opts.eps_lyap:

@@ -1,14 +1,16 @@
 """Property tests of the command line's exit-code contract on `classify`,
-`sweep`, `curves`, `window` and `rescale`."""
+`sweep`, `curves`, `window`, `rescale` and `coexist`."""
 
 import contextlib
 import io
 import math
+import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghmlab.atlas_cli import main
+from ghmlab.atlas_cli import _SCHEMA, main
+from ghmlab.tangency_lab import CoexistenceBox
 
 # extremes, the part of the plane that holds attractors, and any float at all
 _REALS = st.one_of(
@@ -40,10 +42,13 @@ _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as a run outside pytest would print them
         code = main(argv)  # an escaping exception fails the test with its traceback
     assert code in (0, 3)
     assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     if code != 0:
         assert out.getvalue() == ""
     return code, out.getvalue().lower()
@@ -100,3 +105,37 @@ def test_rescale_exit_codes_hold_for_any_real_input(n, M, B, spectrum):
                       _real("--lambda", spectrum[0]), _real("--gamma", spectrum[1])])
     if code == 0:
         assert "nan" not in out and "inf" not in out
+
+
+_COEXIST_KEYS = sorted(k for k in _SCHEMA["coexist"] if k not in ("out", "phi_steps"))
+
+
+def _coexist_value(key):
+    if _SCHEMA["coexist"][key] is int:  # the return indices n_sink and n_circle
+        return st.integers(-2, 20)
+    # the spectrum or a box bound: on the defaults' scale (phi up to pi), or any real
+    return _mostly(st.floats(0.0, 3.2), st.one_of(st.sampled_from([1e308, -1e308]), _REALS))
+
+
+# a [coexist] config: phi_steps and up to three more keys
+_COEXIST_CONFIG = st.lists(st.sampled_from(_COEXIST_KEYS), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({"phi_steps": st.integers(-2, 300),
+                                        **{k: _coexist_value(k) for k in keys}}))
+
+
+@_SETTINGS
+@given(cfg=_COEXIST_CONFIG)
+@example(cfg={"phi_steps": 200, "lphi_band_margin": 1e308})  # once overflowed with a warning
+@example(cfg={"phi_steps": 200, "phi_lo": 3.0, "phi_hi": 0.1})  # once scanned phi downwards
+@example(cfg={"phi_steps": 2, "phi_hi": 1e308})  # once overflowed n*phi with a warning
+def test_coexist_exit_codes_hold_for_any_config(cfg, tmp_path_factory):
+    ini = tmp_path_factory.mktemp("coexist") / "c.ini"
+    ini.write_text("[coexist]\n" + "".join(f"{k} = {v!r}\n" for k, v in cfg.items()))
+    code, out = _run(["coexist", "--config", str(ini)])
+    box = CoexistenceBox()
+    lo, hi = cfg.get("phi_lo", box.phi_lo), cfg.get("phi_hi", box.phi_hi)
+    if code == 0:
+        assert "nan" not in out and "inf" not in out
+        assert 0.0 < lo <= hi < math.pi  # phi is scanned upwards inside (0, pi)
+        if "status=hit" in out:
+            assert lo <= float(out.split("phi=")[1].split()[0]) <= hi

@@ -3,72 +3,64 @@ import math
 import numpy as np
 import pytest
 
-from ghmlab.attractor_classifier import _exits, _window
-from ghmlab.ghm_core import (
-    DegenerateLineError,
-    GhmParams,
-    State2,
-    fixed_points,
-    jacobian,
-    multipliers_at,
-    step,
-)
+from ghmlab.attractor_classifier import _exits, _verify_cycle, _window
+from ghmlab.ghm_core import DegenerateLineError, GhmParams, fixed_points, multipliers_at
+
+
+def _states(p, x, y, n):
+    """(x, y) after each of n steps from (x, y), off one _window record."""
+    Y = _window(np.array([x]), np.array([y]), p.M, p.B, p.R, n)[:, 0].tolist()
+    return list(zip(Y[1:-1], Y[2:]))
 
 
 def test_step_hand_arithmetic():
-    p = GhmParams(0.0, 0.0, 0.0)
-    assert step(p, State2(0.0, 0.0)) == State2(0.0, 0.0)
-    s = step(p, State2(1.0, 1.0))
-    assert (s.x, s.y) == (1.0, -1.0)
-    s = step(p, s)
-    assert (s.x, s.y) == (-1.0, -1.0)
-    s = step(p, s)
-    assert (s.x, s.y) == (-1.0, -1.0)
-    s = step(GhmParams(1.0, 0.3, 0.0), State2(0.0, 1.0))
-    assert (s.x, s.y) == (1.0, 0.0)
+    assert _states(GhmParams(0.0, 0.0, 0.0), 0.0, 0.0, 1) == [(0.0, 0.0)]
+    assert _states(GhmParams(0.0, 0.0, 0.0), 1.0, 1.0, 3) == [(1.0, -1.0), (-1.0, -1.0),
+                                                             (-1.0, -1.0)]
+    assert _states(GhmParams(1.0, 0.3, 0.0), 0.0, 1.0, 1) == [(1.0, 0.0)]
+    assert _states(GhmParams(1.0, 2.0, 3.0), 1.0, 1.0, 1) == [(1.0, -5.0)]
 
 
 def test_step_overflow_tags_escaped():
-    p = GhmParams(0.0, 0.0, 0.0)
-    s = State2(0.0, 1e200)
-    s = step(p, s)  # y**2 overflows the dynamic range eventually
-    s = step(p, s)
-    assert s.escaped
-
-
-def test_jacobian_entries():
-    assert np.array_equal(jacobian(GhmParams(0, 0, 0), State2(0, 0)), [[0, 1], [0, 0]])
-    assert np.array_equal(jacobian(GhmParams(0, 0.5, 0), State2(0, 0)), [[0, 1], [-0.5, 0]])
-    assert np.array_equal(jacobian(GhmParams(1, 2, 3), State2(1, 1)), [[0, 1], [-5, -5]])
+    # y**2 overflows to -inf at step 1 and to nan at step 2; _exits puts
+    # both outside any box, however large
+    with np.errstate(all="ignore"):
+        Y = _window(np.array([0.0, 0.0]), np.array([1e200, 0.5]), 0.0, 0.0, 0.0, 2)
+    assert Y[2, 0] == -math.inf and math.isnan(Y[3, 0])
+    gone, at = _exits(Y, 1e300)
+    assert gone.tolist() == [True, False] and at.tolist() == [1]
 
 
 def test_jacobian_matches_finite_differences():
+    # _verify_cycle on a one-point "cycle" gives the log moduli of the
+    # Jacobian's eigenvalues there, which sum to log|det DT| = log|B + R*y|;
+    # the map is quadratic, so a central difference of one _window step is
+    # its Jacobian up to rounding
     rng = np.random.default_rng(7)
-    h = 1e-6
+    h = 1e-5
+    checked = 0
     for _ in range(1000):
         M, B = rng.uniform(-2, 2, size=2)
         R = rng.uniform(-0.5, 0.5)
         x, y = rng.uniform(-1.5, 1.5, size=2)
-        p = GhmParams(M, B, R)
-        J = jacobian(p, State2(x, y))
-        cols = []
-        for dx, dy in ((h, 0.0), (0.0, h)):
-            sp = step(p, State2(x + dx, y + dy))
-            sm = step(p, State2(x - dx, y - dy))
-            cols.append([(sp.x - sm.x) / (2 * h), (sp.y - sm.y) / (2 * h)])
-        Jfd = np.array(cols).T
-        scale = max(1.0, np.abs(J).max())
-        assert np.abs(J - Jfd).max() < 1e-6 * scale
-
-
-def test_determinant_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        M, B = rng.uniform(-5, 5, size=2)
-        R = rng.uniform(-0.5, 0.5)
-        x, y = rng.uniform(-3, 3, size=2)
-        J = jacobian(GhmParams(M, B, R), State2(x, y))
-        assert abs(np.linalg.det(J) - (B + R * y)) < 1e-12 * max(1.0, abs(B + R * y))
+        Y = _window(np.array([x + h, x - h, x, x]), np.array([y, y, y + h, y - h]), M, B, R, 1)
+        d = (Y[1:] - np.roll(Y[1:], -1, axis=1)) / (2.0 * h)  # columns 0 and 2: d/dx, d/dy
+        J = d[:, ::2]
+        tr, det = np.trace(J), np.linalg.det(J)
+        mods = np.sort(np.abs(np.linalg.eigvals(J)))[::-1]
+        if abs(tr * tr - 4.0 * det) < 1e-3 or mods[1] < 1e-3:
+            continue  # ill-conditioned eigenvalues, or a log of a tiny modulus
+        ok, lams = _verify_cycle(GhmParams(M, B, R), np.array([[x, y]]))
+        assert np.abs(np.array(lams) - np.log(mods)).max() < 1e-6
+        assert abs(sum(lams) - math.log(abs(B + R * y))) < 1e-12
+        assert ok == (mods[0] < 1.0)
+        checked += 1
+    assert checked > 900
+    # exact cases at the origin: a nilpotent Jacobian, and a focus with
+    # multipliers +-i/sqrt(2)
+    assert _verify_cycle(GhmParams(0.0, 0.0, 0.0), np.zeros((1, 2))) == (True, (-math.inf,) * 2)
+    lam = math.log(math.sqrt(2.0) / 2.0)
+    assert _verify_cycle(GhmParams(0.0, 0.5, 0.0), np.zeros((1, 2))) == (True, (lam, lam))
 
 
 def test_fixed_points_basic_roots():
@@ -101,14 +93,15 @@ def test_fixed_points_linear_branch_and_degenerate_line():
 def test_fixed_point_residual_random():
     # every reported point satisfies the map equation to 1e-12
     rng = np.random.default_rng(11)
-    checked = 0
+    xs = []
     for _ in range(10_000):
         p = GhmParams(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-0.5, 0.5))
-        for r in fixed_points(p):
-            s = step(p, r.point)
-            assert max(abs(s.x - r.point.x), abs(s.y - r.point.y)) < 1e-12
-            checked += 1
-    assert checked > 5000
+        xs += [(p, r.point.x) for r in fixed_points(p)]
+    # one _window step over every reported point at once
+    M, B, R, x = (np.array(v) for v in zip(*((p.M, p.B, p.R, x) for p, x in xs)))
+    Y = _window(x, x, M, B, R, 1)
+    assert Y[1].tobytes() == x.tobytes() and np.abs(Y[2] - x).max() < 1e-12
+    assert len(xs) > 5000
 
 
 def test_multiplier_sum_product_random():

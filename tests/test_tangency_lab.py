@@ -352,3 +352,7 @@ def test_coexistence_search_smoke():
     CoexistenceBox(phi_steps=MAX_PHI_STEPS)
     with pytest.raises(ValueError):
         CoexistenceBox(phi_steps=MAX_PHI_STEPS + 1)
+    # phi is scanned upwards inside (0, pi), where ReturnMapConfig takes it
+    for lo, hi in ((3.0, 0.1), (0.0, 1.0), (0.1, math.pi), (math.nan, 1.0), (0.1, 1e308)):
+        with pytest.raises(ValueError):
+            CoexistenceBox(phi_lo=lo, phi_hi=hi)
