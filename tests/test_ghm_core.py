@@ -31,6 +31,39 @@ def test_step_overflow_tags_escaped():
     assert gone.tolist() == [True, False] and at.tolist() == [1]
 
 
+def _central_jacobians(M, B, R, x, y, h=1.0):
+    """(n, 2, 2) central-difference Jacobians of one _window step at the
+    points (x, y); the map is quadratic, so for any h they are the exact
+    Jacobians up to rounding."""
+    M, B, R, x, y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float))
+                                          for v in (M, B, R, x, y)))
+    n = x.size
+    X = np.concatenate([x + h, x - h, x, x])
+    Yc = np.concatenate([y, y, y + h, y - h])
+    Y = _window(X, Yc, *(np.tile(v, 4) for v in (M, B, R)), 1)[1:].reshape(2, 4, n)
+    ddx = (Y[:, 0] - Y[:, 1]) / (2.0 * h)
+    ddy = (Y[:, 2] - Y[:, 3]) / (2.0 * h)
+    return np.stack([ddx, ddy], axis=-1).transpose(1, 0, 2)
+
+
+def test_jacobian_entries():
+    # DT = [[0, 1], [-B - R*y, -2*y - R*x]], read off _window steps, and
+    # the exact cases of _verify_cycle on one-point cycles
+    J = _central_jacobians([0.0, 0.0, 1.0], [0.0, 0.5, 2.0], [0.0, 0.0, 3.0],
+                           [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    assert J.tolist() == [[[0, 1], [0, 0]], [[0, 1], [-0.5, 0]], [[0, 1], [-5, -5]]]
+    # a nilpotent Jacobian, and a focus with multipliers +-i/sqrt(2)
+    assert _verify_cycle(GhmParams(0.0, 0.0, 0.0), np.zeros((1, 2))) == (True, (-math.inf,) * 2)
+    lam = math.log(math.sqrt(2.0) / 2.0)
+    assert _verify_cycle(GhmParams(0.0, 0.5, 0.0), np.zeros((1, 2))) == (True, (lam, lam))
+    # [[0, 1], [-5, -5]] has multipliers (-5 -+ sqrt 5)/2, both outside the unit circle
+    ok, lams = _verify_cycle(GhmParams(1.0, 2.0, 3.0), np.array([[1.0, 1.0]]))
+    big, small = (5.0 + math.sqrt(5.0)) / 2.0, (5.0 - math.sqrt(5.0)) / 2.0
+    assert not ok
+    assert math.isclose(lams[0], math.log(big), rel_tol=1e-14)
+    assert math.isclose(lams[1], math.log(small), rel_tol=1e-14)
+
+
 def test_jacobian_matches_finite_differences():
     # _verify_cycle on a one-point "cycle" gives the log moduli of the
     # Jacobian's eigenvalues there, which sum to log|det DT| = log|B + R*y|;
@@ -61,6 +94,20 @@ def test_jacobian_matches_finite_differences():
     assert _verify_cycle(GhmParams(0.0, 0.0, 0.0), np.zeros((1, 2))) == (True, (-math.inf,) * 2)
     lam = math.log(math.sqrt(2.0) / 2.0)
     assert _verify_cycle(GhmParams(0.0, 0.5, 0.0), np.zeros((1, 2))) == (True, (lam, lam))
+
+def test_determinant_identity():
+    # det DT = B + R*y, for the Jacobian of a _window step and for the
+    # exponents _verify_cycle reports on a one-point cycle
+    rng = np.random.default_rng(3)
+    M, B = rng.uniform(-5, 5, size=(2, 300))
+    R = rng.uniform(-0.5, 0.5, size=300)
+    x, y = rng.uniform(-3, 3, size=(2, 300))
+    d = B + R * y
+    J = _central_jacobians(M, B, R, x, y)
+    assert np.all(np.abs(np.linalg.det(J) - d) < 1e-12 * np.maximum(1.0, np.abs(d)))
+    for Mi, Bi, Ri, xi, yi, di in zip(M, B, R, x, y, d):
+        ok, lams = _verify_cycle(GhmParams(Mi, Bi, Ri), np.array([[xi, yi]]))
+        assert abs(sum(lams) - math.log(abs(di))) < 1e-12
 
 
 def test_fixed_points_basic_roots():
