@@ -15,7 +15,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def _emit(out: str | None, text: str) -> None:
 # or keys are rejected outright.
 
 _REQUIRED = object()  # default of an option without one
-_BOX = {f.name: type(f.default) for f in fields(CoexistenceBox)}
+_BOX = get_type_hints(CoexistenceBox)  # field name -> annotated type
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}

@@ -7,18 +7,30 @@ from ghmlab.attractor_classifier import _exits, _verify_cycle, _window
 from ghmlab.ghm_core import DegenerateLineError, GhmParams, fixed_points, multipliers_at
 
 
-def _states(p, x, y, n):
-    """(x, y) after each of n steps from (x, y), off one _window record."""
-    Y = _window(np.array([x]), np.array([y]), p.M, p.B, p.R, n)[:, 0].tolist()
-    return list(zip(Y[1:-1], Y[2:]))
+# every map step is taken by attractor_classifier._window: row j + 1 of its
+# record is the y after j steps, and _exits reads off the record the step at
+# which an orbit leaves the box. A one-cell batch steps on Python floats, a
+# larger one in numpy; both must give the same bits
+
+
+def _orbit(p, x, y, n, rad=1e6):
+    """New ys of n steps from (x, y) and the escape step (0 if none), checked
+    equal on a one-cell batch and as one column of a three-cell batch."""
+    with np.errstate(all="ignore"):  # an escaped orbit runs on to inf and nan
+        one = _window(np.array([x]), np.array([y]), p.M, p.B, p.R, n)
+        three = _window(np.array([x, 0.0, x]), np.array([0.0, y, y]), p.M, p.B, p.R, n)
+    assert one.tobytes() == three[:, 2:].tobytes()
+    gone, at = _exits(one, rad)
+    return one[2:, 0].tolist(), int(at[0]) if gone[0] else 0
 
 
 def test_step_hand_arithmetic():
-    assert _states(GhmParams(0.0, 0.0, 0.0), 0.0, 0.0, 1) == [(0.0, 0.0)]
-    assert _states(GhmParams(0.0, 0.0, 0.0), 1.0, 1.0, 3) == [(1.0, -1.0), (-1.0, -1.0),
-                                                             (-1.0, -1.0)]
-    assert _states(GhmParams(1.0, 0.3, 0.0), 0.0, 1.0, 1) == [(1.0, 0.0)]
-    assert _states(GhmParams(1.0, 2.0, 3.0), 1.0, 1.0, 1) == [(1.0, -5.0)]
+    # the state after step k is (y after step k - 1, y after step k)
+    assert _orbit(GhmParams(0.0, 0.0, 0.0), 0.0, 0.0, 1) == ([0.0], 0)  # (0, 0)
+    # (1, -1), (-1, -1), (-1, -1)
+    assert _orbit(GhmParams(0.0, 0.0, 0.0), 1.0, 1.0, 3) == ([-1.0, -1.0, -1.0], 0)
+    assert _orbit(GhmParams(1.0, 0.3, 0.0), 0.0, 1.0, 1) == ([0.0], 0)  # (1, 0)
+    assert _orbit(GhmParams(1.0, 2.0, 3.0), 1.0, 1.0, 1) == ([-5.0], 0)  # (1, -5)
 
 
 def test_step_overflow_tags_escaped():
@@ -89,11 +101,7 @@ def test_jacobian_matches_finite_differences():
         assert ok == (mods[0] < 1.0)
         checked += 1
     assert checked > 900
-    # exact cases at the origin: a nilpotent Jacobian, and a focus with
-    # multipliers +-i/sqrt(2)
-    assert _verify_cycle(GhmParams(0.0, 0.0, 0.0), np.zeros((1, 2))) == (True, (-math.inf,) * 2)
-    lam = math.log(math.sqrt(2.0) / 2.0)
-    assert _verify_cycle(GhmParams(0.0, 0.5, 0.0), np.zeros((1, 2))) == (True, (lam, lam))
+
 
 def test_determinant_identity():
     # det DT = B + R*y, for the Jacobian of a _window step and for the
@@ -138,17 +146,17 @@ def test_fixed_points_linear_branch_and_degenerate_line():
 
 
 def test_fixed_point_residual_random():
-    # every reported point satisfies the map equation to 1e-12
+    # every reported point satisfies the map equation to 1e-12: one _window
+    # step over all of them at once maps (x, y) to (y, y') with y = x, y' = y
     rng = np.random.default_rng(11)
-    xs = []
+    pts = []
     for _ in range(10_000):
         p = GhmParams(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-0.5, 0.5))
-        xs += [(p, r.point.x) for r in fixed_points(p)]
-    # one _window step over every reported point at once
-    M, B, R, x = (np.array(v) for v in zip(*((p.M, p.B, p.R, x) for p, x in xs)))
-    Y = _window(x, x, M, B, R, 1)
-    assert Y[1].tobytes() == x.tobytes() and np.abs(Y[2] - x).max() < 1e-12
-    assert len(xs) > 5000
+        pts += [(p.M, p.B, p.R, r.point.x, r.point.y) for r in fixed_points(p)]
+    M, B, R, x, y = (np.array(v) for v in zip(*pts))
+    Y = _window(x, y, M, B, R, 1)
+    assert np.abs(Y[1] - x).max() < 1e-12 and np.abs(Y[2] - y).max() < 1e-12
+    assert len(pts) > 5000
 
 
 def test_multiplier_sum_product_random():
@@ -181,23 +189,6 @@ def test_multiplier_ordering():
     # modulus descending, then argument descending
     m1, m2 = multipliers_at(GhmParams(0.0, -0.5, 0.0), 0.0)  # {+r, -r}
     assert abs(m1.imag) < 1e-15 and m1.real < 0 < m2.real  # arg pi beats arg 0
-
-
-# every map step is taken by attractor_classifier._window: row j + 1 of its
-# record is the y after j steps, and _exits reads off the record the step at
-# which an orbit leaves the box. A one-cell batch steps on Python floats, a
-# larger one in numpy; both must give the same bits
-
-
-def _orbit(p, x, y, n, rad=1e6):
-    """New ys of n steps from (x, y) and the escape step (0 if none), checked
-    equal on a one-cell batch and as one column of a three-cell batch."""
-    with np.errstate(all="ignore"):  # an escaped orbit runs on to inf and nan
-        one = _window(np.array([x]), np.array([y]), p.M, p.B, p.R, n)
-        three = _window(np.array([x, 0.0, x]), np.array([0.0, y, y]), p.M, p.B, p.R, n)
-    assert one.tobytes() == three[:, 2:].tobytes()
-    gone, at = _exits(one, rad)
-    return one[2:, 0].tolist(), int(at[0]) if gone[0] else 0
 
 
 def test_orbit_fixed_point_and_escape():
