@@ -17,9 +17,10 @@ scheme). Orbit windows are recorded and the tangent vector renormalized
 once per product of 16 consecutive Jacobians (Benettin et al., Meccanica
 15, 1980). A cell whose block norm is not a normal double has no
 exponents: a superstable orbit annihilates its tangent vector, and a
-product can under- or overflow. A one-cell batch runs the same
-floating-point operations on Python floats, as numpy's per-call cost
-dominates at one cell.
+product can under- or overflow. At one cell, where numpy's per-call cost
+dominates, the map steps and the renormalizations run the batch's
+floating-point operations on Python floats, over records of many windows
+whose block products the batch's code forms.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ VERDICTS = ("sink", "circle", "chaotic", "divergent", "undecided")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _LOG_HUGE = -math.log(np.finfo(float).tiny)  # |log| of a normal double is below this
+MAX_STEPS = 10**8  # ClassifyOptions refuses a longer burn-in or span
 
 
 class OrbitEscapedError(RuntimeError):
@@ -68,6 +70,8 @@ class ClassifyOptions:
             raise ValueError("span must be >= 1000 for a meaningful average")
         if self.burn_in < 0 or min(self.max_period, self.circle_points, self.circle_bins) < 1:
             raise ValueError("burn_in must be >= 0 and the other counts >= 1")
+        if max(self.span, self.burn_in) > MAX_STEPS:
+            raise ValueError(f"span and burn_in must be at most {MAX_STEPS} steps")
         tols = (self.period_tol, self.escape_radius, self.eps_lyap, self.gap_limit_deg)
         if not all(math.isfinite(v) and v > 0.0 for v in tols):
             raise ValueError("tolerances and the escape radius must be positive and finite")
@@ -348,39 +352,21 @@ def _block_products(a, d):
     return p, q, r, t
 
 
-def _block_norms(a, d, v1, v2, out):
-    """One cell's _block_products and renormalizations on Python floats, in
-    the same operations as the batch, so in the same bits: a and d are the
-    cell's lists of Jacobian entries, v1 and v2 its tangent vector as
-    (1,) arrays, and out gets the norm of each _LYAP_BLOCK-step product.
-    np.hypot, not math.hypot, as the two differ in the last bit."""
-    K, hypot = _LYAP_BLOCK, np.hypot
-    v1, v2 = float(v1[0]), float(v2[0])
-    for b, j in enumerate(range(0, len(a), K)):
-        p, q, r, t = 1.0, 0.0, 0.0, 1.0
-        for aj, dj in zip(a[j : j + K], d[j : j + K]):
-            p, r = r, aj * r - dj * p
-            q, t = t, aj * t - dj * q
-        w1 = p * v1 + q * v2
-        w2 = r * v1 + t * v2
-        out[b] = nrm = hypot(w1, w2)  # a numpy float: w1 / 0.0 does not raise
-        v1, v2 = w1 / nrm, w2 / nrm
-    return np.array([v1]), np.array([v2])
-
-
 def _lyapunov_windows(x, y, M, B, R, span, rad):
     """Exponent sums over span map steps from (x, y), one cell per element.
 
-    Each window of _LYAP_WINDOW recorded steps is cut into _LYAP_BLOCK-step
-    Jacobian products (the span's last block keeps its shorter length), and
-    the tangent vector is renormalized after each product. Returns (slog,
-    sdet, x, y, esc): sums of log block norm and of log|det DT|, the end
-    state, and the step after which a cell was first outside rad (0 if
-    never), tested at block ends. slog is nan when a block norm is not a
-    normal double: an annihilated tangent vector, or a product that under-
-    or overflowed (mean |det DT| below ~1e-38, or entries above ~1e19). A
-    cell's sums run in an order set by its own data, so a one-cell batch,
-    whose products _block_norms forms, gets the bits of any batch.
+    Each record holds whole windows of _LYAP_WINDOW steps, as many as keep
+    it at or under _CELLS * _LYAP_BLOCK doubles (32 at one cell, one from 32
+    cells up), and is cut into _LYAP_BLOCK-step Jacobian products (the
+    span's last block keeps its shorter length); the tangent vector is
+    renormalized after each product. Returns (slog, sdet,
+    x, y, esc): sums of log block norm and of log|det DT| (one pairwise sum
+    per window), the end state, and the step after which a cell was first
+    outside rad (0 if never), tested at block ends. slog is nan when a block
+    norm is not a normal double: an annihilated tangent vector, or a product
+    that under- or overflowed (mean |det DT| below ~1e-38, or entries above
+    ~1e19). A cell's sums run in an order set by its own data, so a one-cell
+    batch, which renormalizes on Python floats, gets the bits of any batch.
     """
     n = x.size
     out = [np.full(n, np.nan) for _ in range(4)]
@@ -393,10 +379,11 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     W, K = _LYAP_WINDOW, _LYAP_BLOCK
     m = s = 0
     while s < span and live.size:
-        if m != live.size:  # Jacobian buffers, allocated again after escapes
+        if m != live.size:  # record length and Jacobian buffers, again after escapes
             m = live.size
-            det, a = np.empty((W, m)), np.empty((W, m))
-        w = min(W, span - s)
+            L = W * max(1, _CELLS * K // (m * W))
+            det, a = np.empty((L, m)), np.empty((L, m))
+        w = min(L, span - s)
         Y = _window(x, y, M, B, R, w)  # x_j = Y[j], y_j = Y[j + 1]
         x, y = Y[w].copy(), Y[w + 1].copy()
         dw, aw = det[:w], a[:w]
@@ -405,18 +392,26 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         np.subtract(dw, aw, aw)  # -2y - R x
         np.multiply(Y[1:-1], R, dw)
         np.add(dw, B, dw)
-        N = np.empty((-(-w // K) + 1, m))  # slog, then one norm per block
+        # records start on window boundaries, so no block straddles a window
+        nb, rem = divmod(w, K)
+        prods = _block_products(aw[: nb * K].reshape(nb, K, m), dw[: nb * K].reshape(nb, K, m))
+        if rem:
+            tail = _block_products(aw[nb * K :].reshape(1, rem, m), dw[nb * K :].reshape(1, rem, m))
+            prods = [np.concatenate(v) for v in zip(prods, tail)]
+        N = np.empty((nb + (rem > 0) + 1, m))  # slog, then one norm per block
         N[0] = slog
-        if m == 1:
-            v1, v2 = _block_norms(aw[:, 0].tolist(), dw[:, 0].tolist(), v1, v2, N[1:, 0])
+        if m == 1:  # numpy's per-call cost would dominate one cell's loop
+            c1, c2, norms = float(v1[0]), float(v2[0]), []
+            for p, q, r, t in zip(*(v[:, 0].tolist() for v in prods)):
+                w1 = p * c1 + q * c2
+                w2 = r * c1 + t * c2
+                nrm = float(np.hypot(w1, w2))  # math.hypot differs in the last bit
+                norms.append(nrm)
+                c1, c2 = (w1 / nrm, w2 / nrm) if nrm else (math.nan, math.nan)
+            N[1:, 0] = norms
+            v1, v2 = np.array([c1]), np.array([c2])
         else:
-            nb, rem = divmod(w, K)
-            blocks = list(zip(*_block_products(aw[: nb * K].reshape(nb, K, m),
-                                               dw[: nb * K].reshape(nb, K, m))))
-            if rem:
-                blocks += zip(*_block_products(aw[nb * K :].reshape(1, rem, m),
-                                               dw[nb * K :].reshape(1, rem, m)))
-            for b, (p, q, r, t) in enumerate(blocks, 1):
+            for b, (p, q, r, t) in enumerate(zip(*prods), 1):
                 w1 = p * v1 + q * v2
                 w2 = r * v1 + t * v2
                 nrm = np.hypot(w1, w2, out=N[b])
@@ -428,13 +423,15 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         lg[~(np.abs(lg) < _LOG_HUGE)] = np.nan
         slog = np.add.accumulate(N, axis=0)[-1]
         # log|det| goes to a's spent buffer one row per cell, so every cell
-        # gets the pairwise sum of its own row whatever the batch
+        # gets the pairwise sum of its own row in each window whatever the batch
         ld = aw.reshape(m, w)
         np.abs(dw.T, out=ld)
-        sdet = sdet + np.log(ld, out=ld).sum(axis=1)
+        np.log(ld, out=ld)
+        for j in range(0, w, W):
+            sdet = sdet + ld[:, j : j + W].sum(axis=1)
         ends = np.append(np.arange(K, w, K), w)  # block ends
         hit = ~((np.abs(Y[ends]) <= rad) & (np.abs(Y[ends + 1]) <= rad))
-        del Y  # before the next window's record is allocated
+        del Y  # before the next record is allocated
         s += w
         gone = hit.any(axis=0)
         if gone.any():
@@ -545,7 +542,8 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
         gids, lx, ly, lM, lB = (np.concatenate(v) for v in zip(*lyap))
         step_no = opts.burn_in + L
         with np.errstate(all="ignore"):
-            # a window record and two Jacobian buffers of _LYAP_WINDOW rows
+            # a record and two Jacobian buffers, each of one window a cell or,
+            # below 32 cells, of at most _CELLS * _LYAP_BLOCK doubles
             parts = [_lyapunov_windows(lx[c], ly[c], lM[c], lB[c], R, opts.span, rad)
                      for c in _chunks(gids.size, 3 * _LYAP_WINDOW + 2)]
             slog, sdet, lx, ly, esc = (np.concatenate(v) for v in zip(*parts))

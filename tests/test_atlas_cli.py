@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,16 @@ def test_classify_single_row(capsys):
     row = lines[1].split(",")
     assert row[:5] == ["0", "0", "0", "sink", "1"]
     float(row[5])  # lyapunov fields parse (ln 0 = -inf is legal text)
+
+
+def test_classify_prints_the_readme_example(capsys):
+    # the README's two lines at the default span, which runs the one-cell
+    # Lyapunov kernel over several records: every digit is pinned
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    at = lines.index("$ ghmlab classify --M 1.4 --B -0.3 --R 0")
+    code, out, _ = run(capsys, "classify", "--M", "1.4", "--B", "-0.3", "--R", "0")
+    assert code == 0
+    assert out.splitlines() == lines[at + 1 : at + 3]
 
 
 def test_classify_chaotic_row(capsys):
@@ -386,6 +397,8 @@ def test_size_caps_exit_3(tmp_path, capsys, monkeypatch):
     assert (code, out) == (3, "") and "1000000 cells" in err
     code, out, err = run(capsys, "curves", "--samples", "1000001")
     assert (code, out) == (3, "") and "1000000" in err
+    code, out, err = run(capsys, "classify", "--M", "1.4", "--B", "-0.3", "--span", "100000001")
+    assert (code, out) == (3, "") and "100000000" in err
     ini = tmp_path / "box.ini"
     ini.write_text("[coexist]\nphi_steps = 10000001\n")
     code, out, err = run(capsys, "coexist", "--config", str(ini))

@@ -360,12 +360,14 @@ def test_sweep_emits_no_runtime_warnings():
 
 
 def test_classify_options_validation():
-    for kw in ({"span": 999}, {"burn_in": -1}, {"max_period": 0}, {"circle_points": 0},
-               {"circle_bins": 0}, {"period_tol": 0.0}, {"escape_radius": math.inf},
-               {"eps_lyap": math.nan}, {"gap_limit_deg": -1.0}, {"seed_offset": (math.nan, 0.0)}):
+    for kw in ({"span": 999}, {"burn_in": -1}, {"span": 10**8 + 1}, {"burn_in": 10**8 + 1},
+               {"max_period": 0}, {"circle_points": 0}, {"circle_bins": 0}, {"period_tol": 0.0},
+               {"escape_radius": math.inf}, {"eps_lyap": math.nan}, {"gap_limit_deg": -1.0},
+               {"seed_offset": (math.nan, 0.0)}):
         with pytest.raises(ValueError):
             ClassifyOptions(**kw)
     ClassifyOptions(burn_in=0, span=1000, max_period=1)
+    ClassifyOptions(burn_in=10**8, span=10**8)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +675,45 @@ def test_sweep_kernel_drops_exponents_it_cannot_resolve():
     cells = sweep(0.999, 1.0, 1e-100, 1e-40, 2, 2, 0.0, opts).cells
     assert [c.verdict for c in cells] == ["undecided"] * 4
     assert [c.lyapunov is None for c in cells] == [False, True, False, True]
+
+
+def test_one_cell_lyapunov_kernel_is_its_batch_column():
+    # one cell is recorded up to 32 windows at a time and renormalized on
+    # Python floats; a batch of 17 or more cells records one window at a
+    # time and renormalizes on arrays. Both give the same bits. The spans end
+    # mid-block and mid-window and cross one-cell record boundaries (16384)
+    rng = np.random.default_rng(12)
+    # (M, B, start or None for the sweep's seed) per R: chaos, a circle, the
+    # superstable cell and an underflowing product (no exponents), escapes in
+    # the first, second and third one-cell record
+    cells = {0.0: [(1.4, -0.3, None), (1.0, 0.0, None), (1.0, 1e-40, None),
+                   (1.4274, -0.3, (0.0, 0.0)), (1.4269732, -0.3, (0.0, 0.0)),
+                   (1.4269516, -0.3, (0.0, 0.0))],
+             0.1: [(-0.74, 1.05, None), (1.4, -0.3, None), (1.451125, -0.3, (0.0, 0.0))]}
+    for R, fixed in cells.items():
+        fixed += [(rng.uniform(-0.5, 2.3), rng.uniform(-1.0, 1.0), None)
+                  for _ in range(32 - len(fixed))]
+        M, B = (np.array([c[i] for c in fixed]) for i in (0, 1))
+        x, y = attractor_classifier._seeds(M, B, R, ClassifyOptions())
+        for i, c in enumerate(fixed):
+            if c[2] is not None:
+                x[i], y[i] = c[2]
+        seen = set()
+        for span in (1000, 1003, 16384, 16400, 40007):
+            with np.errstate(all="ignore"):
+                batch = attractor_classifier._lyapunov_windows(x, y, M, B, R, span, 1.0e6)
+                for i in range(M.size):
+                    one = attractor_classifier._lyapunov_windows(
+                        x[i : i + 1], y[i : i + 1], M[i : i + 1], B[i : i + 1], R, span, 1.0e6)
+                    for u, v in zip(one, batch):
+                        assert np.array_equal(u, v[i : i + 1], equal_nan=True), (R, span, fixed[i])
+            esc = batch[4]
+            seen |= {"exponents"} if np.isfinite(batch[0]).any() else set()
+            seen |= {"none"} if (np.isnan(batch[0]) & (esc == 0)).any() else set()
+            seen |= {"escape"} if (esc > 0).any() else set()
+            seen |= {"late escape"} if (esc > 16384).any() else set()
+        assert seen == ({"exponents", "none", "escape", "late escape"} if R == 0.0
+                        else {"exponents", "escape"})
 
 
 def test_sweep_cell_does_not_depend_on_batch(monkeypatch):

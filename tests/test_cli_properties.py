@@ -60,13 +60,14 @@ def _real(flag, v):
 
 
 @_SETTINGS
-@given(M=_REALS, B=_REALS, R=_REALS)
-def test_classify_exit_codes_hold_for_any_real_input(M, B, R):
+@given(M=_REALS, B=_REALS, R=_REALS,
+       span=_mostly(st.integers(1000, 3000), st.sampled_from([-1, 999, 10**8 + 1, 10**30])))
+def test_classify_exit_codes_hold_for_any_real_input(M, B, R, span):
     code, out = _run(["classify", _real("--M", M), _real("--B", B), _real("--R", R),
-                      "--span", "1000"])
+                      "--span", str(span)])
     if code == 0:  # a superstable sink prints -inf exponents, so only nan is ruled out
         assert "nan" not in out
-        assert all(math.isfinite(v) for v in (M, B, R))
+        assert all(math.isfinite(v) for v in (M, B, R)) and 1000 <= span <= 3000
 
 
 @settings(_SETTINGS, max_examples=60)  # most examples exit 3 at once
