@@ -35,6 +35,8 @@ SIGMA_HALF_HEIGHT = 0.25  # half-height h of the exit box in raw y
 ROUND_TRIP_TOL = 1e-8
 MAX_PHI_STEPS = 10**7  # CoexistenceBox refuses a finer phi scan
 U_ESCAPE = 50.0  # rescaled-coordinate escape bound for fit orbits
+FIT_RETURNS = 64  # returns of each fit_ghm seed orbit
+FIT_DISCARD = 4  # leading returns fit_ghm drops before it forms triples
 
 
 class SigmaDomainError(ValueError):
@@ -452,14 +454,14 @@ def fit_ghm_series(series) -> RescaledParams:
 
 
 def _delay_grid() -> tuple[np.ndarray, np.ndarray]:
-    """fit_ghm's default seeds: a 5x41 grid in the rescaled delay pair (u_prev, u_now)."""
+    """fit_ghm's seeds: a 5x41 grid in the rescaled delay pair (u_prev, u_now)."""
     UP, UN = np.meshgrid(np.linspace(-0.5, 1.0, 5), np.linspace(-0.75, 1.25, 41), indexing="ij")
     return UP.ravel(), UN.ravel()
 
 
 def fit_exact_map(p: RescaledParams) -> RescaledParams:
     """Self-consistency fit: regress on values of the planar map at p itself
-    over fit_ghm's default seed grid, bypassing the 3D return map."""
+    over fit_ghm's seed grid, bypassing the 3D return map."""
     u0, u1 = _delay_grid()
     M, B, R, res = _fit_triples(u0, u1, p.M - p.B * u0 - u1 * u1 - p.R * u0 * u1)
     return RescaledParams(M, B, R, "fitted", residual=res)
@@ -475,91 +477,47 @@ def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
     return np.linalg.solve(np.eye(2) - T.E, rhs.T).T, -u_now / (cf.d * T.gn)
 
 
-def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int):
-    """Iterate T_n from a batch of sigma_n seeds in (x, w) coordinates.
+def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int) -> np.ndarray:
+    """u-history, shape (m, returns + 1), of T_n orbits from m seeds in (x, w)
+    coordinates, with u = -d gamma^n w and the seeds in column 0.
 
-    Returns the u-history (u = -d gamma^n w) and the number of valid returns
-    per orbit (first exit from sigma_n, |w| <= h, or from the rescaled
-    window |u| <= U_ESCAPE truncates the orbit).
+    An orbit is in the window until its first return outside sigma_n
+    (|w| > h) or the rescaled window (|u| > U_ESCAPE); from that return on its
+    values are nan. The seeds themselves are not tested. Every orbit is
+    stepped for all returns: one that has left runs on to inf or nan, and
+    since T_n acts on each row alone it cannot touch the others.
     """
-    h = T.config.h
     scale = -T.config.coeffs.d * T.gn
     X = X.copy()  # C order: the rounding of X @ E.T depends on the memory layout
-    m = len(w)
-    u_hist = np.full((m, returns + 1), np.nan)
-    u_hist[:, 0] = scale * w
-    valid = np.full(m, returns, dtype=int)
-    alive = np.ones(m, dtype=bool)
-    for k in range(returns):
-        if not alive.any():
-            break
-        X, w = T.step(X, w)
-        u = scale * w
-        u_hist[alive, k + 1] = u[alive]
-        out = alive & ((np.abs(w) > h) | (np.abs(u) > U_ESCAPE) | ~np.isfinite(w))
-        if out.any():
-            valid[out] = k + 1
-            alive &= ~out
-        if not alive.all():
-            # re-park dead orbits every step: (0,0) is not invariant, and a
-            # parked w re-excited through gn*mu - y_minus would overflow w*w
-            X[~alive] = 0.0
-            w[~alive] = 0.0
-    return u_hist, valid
+    W = np.empty((len(w), returns + 1))
+    W[:, 0] = w
+    with np.errstate(all="ignore"):
+        for k in range(returns):
+            X, w = T.step(X, w)
+            W[:, k + 1] = w
+        U = scale * W
+        out = ~((np.abs(W[:, 1:]) <= T.config.h) & (np.abs(U[:, 1:]) <= U_ESCAPE))
+    U[:, 1:][np.logical_or.accumulate(out, axis=1)] = np.nan
+    return U
 
 
-def fit_ghm(
-    config: ReturnMapConfig,
-    sample_grid=None,
-    returns: int = 64,
-    discard: int = 4,
-) -> RescaledParams:
+def fit_ghm(config: ReturnMapConfig) -> RescaledParams:
     """Fit the rescaled planar map to orbits of the actual return map T_n.
 
-    Seeds are placed on the attracting 2D manifold of T_n inside sigma_n:
-    by default a 5x41 grid in the rescaled delay pair (u_prev, u_now), with
-    the x-component set to the constant-w manifold point
-    (I - lam^n A Rot(n phi))^-1 (x_plus + b w_prev). A caller-provided
-    sample_grid of raw (x1, x2, y) states inside sigma_n overrides it.
-    Each seed is iterated `returns` times; the first `discard` returns are
-    dropped (transversal collapse onto the manifold is one factor lam^n per
-    return, so a handful suffices; long discards would drain the transient
-    excitation the fit needs at sink windows). Orbits leaving sigma_n or the
-    rescaled window are truncated at the exit.
+    The seeds are fixed: the 5x41 _delay_grid in the rescaled delay pair
+    (u_prev, u_now), put on the attracting 2D manifold of T_n inside sigma_n
+    by _manifold_seed. Each seed is iterated FIT_RETURNS times and its first
+    FIT_DISCARD returns are dropped (transversal collapse onto the manifold is
+    one factor lam^n per return, so a handful suffices; long discards would
+    drain the transient excitation the fit needs at sink windows). A triple
+    (u_k, u_k+1, u_k+2) counts only when all three returns are in the window.
     """
-    if returns - discard < 10:
-        raise ValueError("need at least 10 recorded returns after the discard")
     T = ReturnMap(config)
-    if sample_grid is None:
-        X0, W0 = _manifold_seed(T, *_delay_grid())
-    else:
-        g = np.asarray(sample_grid, dtype=float)
-        if g.ndim != 2 or g.shape[1] != 3:
-            raise ValueError("sample_grid must be an (m, 3) array of (x1, x2, y) states")
-        W0 = T.gn * g[:, 2] - config.coeffs.y_minus
-        if np.any(np.abs(W0) > config.h):
-            raise SigmaDomainError("sample_grid contains states outside the sigma_n slice")
-        X0 = g[:, :2]
-    if len(W0) < 200:
-        raise ValueError("need a seed grid of at least 200 states in sigma_n")
-
-    u_hist, valid = _run_return_orbits(T, X0, W0, returns)
-
-    rows0, rows1, rows2 = [], [], []
-    for i in range(len(W0)):
-        # valid[i] < returns marks the exit index; the exit value itself
-        # already lies outside sigma_n and is excluded
-        hi = valid[i] if valid[i] == returns else valid[i] - 1
-        if hi - discard >= 2:
-            seg = u_hist[i, discard : hi + 1]
-            rows0.append(seg[:-2])
-            rows1.append(seg[1:-1])
-            rows2.append(seg[2:])
-    if not rows0:
+    U = _run_return_orbits(T, *_manifold_seed(T, *_delay_grid()), FIT_RETURNS)[:, FIT_DISCARD:]
+    ok = ~np.isnan(U[:, 2:])  # once out, an orbit stays nan: u_k+2 in means all three are
+    if not ok.any():
         raise FitError("every sample orbit left the return window before the discard ended")
-    u0 = np.concatenate(rows0)
-    u1 = np.concatenate(rows1)
-    u2 = np.concatenate(rows2)
+    u0, u1, u2 = U[:, :-2][ok], U[:, 1:-1][ok], U[:, 2:][ok]
     if len(u0) < 200:
         raise FitError(f"only {len(u0)} in-window sample triples; need at least 200")
     M, B, R, res = _fit_triples(u0, u1, u2)
@@ -650,8 +608,8 @@ def _orbit_tail(config: ReturnMapConfig, returns: int, keep: int) -> np.ndarray 
     or None when it leaves sigma_n or the rescaled window within `returns`."""
     T = ReturnMap(config)
     u = np.zeros(1)
-    u_hist, valid = _run_return_orbits(T, *_manifold_seed(T, u, u), returns)
-    return u_hist[0, -keep:] if valid[0] == returns else None
+    tail = _run_return_orbits(T, *_manifold_seed(T, u, u), returns)[0, -keep:]
+    return None if np.isnan(tail[-1]) else tail
 
 
 def _confirm_sink_orbit(config: ReturnMapConfig) -> bool:
@@ -660,9 +618,9 @@ def _confirm_sink_orbit(config: ReturnMapConfig) -> bool:
     return tail is not None and bool(np.max(np.abs(np.diff(tail))) < 1e-8)
 
 
-def _confirm_circle_orbit(config: ReturnMapConfig, min_returns: int = 1000) -> bool:
-    """Direct check: a T_n orbit stays in sigma_n >= min_returns without locking."""
-    tail = _orbit_tail(config, min_returns, 64)
+def _confirm_circle_orbit(config: ReturnMapConfig) -> bool:
+    """Direct check: a T_n orbit stays in sigma_n for 1000 returns without locking."""
+    tail = _orbit_tail(config, 1000, 64)
     return tail is not None and bool(np.max(np.abs(np.diff(tail))) > 1e-6)  # not collapsed to a point
 
 
@@ -795,7 +753,7 @@ def coexistence_search(
             if not _confirm_circle_orbit(cfg_c):
                 rec["reject"] = "direct circle orbit check failed"
                 continue
-        except (FitError, SigmaDomainError, ValueError) as err:
+        except (FitError, ValueError) as err:
             rec["reject"] = f"{type(err).__name__}: {err}"
             continue
         finally:

@@ -194,6 +194,16 @@ def test_rescale_fitted_single_window(capsys):
     assert abs(float(row[4]) - 1.0) < 1e-12  # M_asym is the default target M
 
 
+def test_rescale_prints_an_empty_fit_row_when_the_fit_fails(capsys):
+    # too few in-window triples at this target: the row keeps its asymptotics
+    code, out, err = run(capsys, "rescale", "--n", "8", "--target-m", "1.9615", "--target-b", "-0.877")
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert row[0] == "8" and row[1:4] == ["", "", ""] and row[7] == ""
+    assert float(row[4]) == pytest.approx(1.9615)
+    assert "rescale: delta strictly decreasing over n=[8]: incomplete" in err
+
+
 def test_rescale_rejects_bad_spectrum(capsys):
     code, _, err = run(capsys, "rescale", "--lambda", "0.9", "--gamma", "1.5")
     assert code == 3

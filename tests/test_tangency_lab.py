@@ -1,10 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ghmlab import tangency_lab
 from ghmlab.tangency_lab import (
     COEX_COEFFS,
     CoexistenceBox,
@@ -17,6 +19,7 @@ from ghmlab.tangency_lab import (
     ReturnMapConfig,
     SaddleSpectrum,
     SigmaDomainError,
+    U_ESCAPE,
     asymptotic_params,
     coexistence_search,
     fit_ghm,
@@ -323,16 +326,56 @@ def test_mounted_window_carries_long_orbits():
     assert T.in_sigma(s[2])
 
 
-def test_fit_ghm_input_validation():
+def test_fit_ghm_error_paths():
+    # far past the stability domain every seed orbit escapes within the discard
+    cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (5.0, 0.5))
+    with pytest.raises(FitError, match="every sample orbit left the return window before the discard ended"):
+        fit_ghm(cfg)
+    # at (1.9615, -0.877) a few orbits stay long enough, but too few triples remain
+    cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (1.9615, -0.877))
+    with pytest.raises(FitError, match=r"^only 146 in-window sample triples; need at least 200$"):
+        fit_ghm(cfg)
+
+
+@pytest.mark.parametrize("n, target", [
+    (16, (0.7165502745803594, -0.8702782177955612)),  # an orbit leaves through |u| > U_ESCAPE
+    (6, (1.3281092259921414, -0.48709887120629125)),  # one leaves sigma_n with |u| = 12.9
+])
+def test_fit_ghm_fits_only_in_window_returns(monkeypatch, n, target):
+    # in both windows one seed orbit leaves on exactly its last return; its
+    # exit value must not reach the regression
+    seen = []
+    fit_triples = tangency_lab._fit_triples
+
+    def capture(u0, u1, u2):
+        seen.extend((u0, u1, u2))
+        return fit_triples(u0, u1, u2)
+
+    monkeypatch.setattr(tangency_lab, "_fit_triples", capture)
+    cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, n, target)
+    fit_ghm(cfg)
+    u = np.concatenate(seen)
+    assert len(seen) == 3 and len(u) > 0
+    assert np.all(np.abs(u) <= U_ESCAPE)
+    assert np.all(np.abs(u) / (cfg.coeffs.d * cfg.spectrum.gamma**n) <= cfg.h)
+
+
+def test_dead_orbits_do_not_touch_live_ones():
     cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (1.0, 0.5))
-    with pytest.raises(ValueError):
-        fit_ghm(cfg, returns=12, discard=4)
-    with pytest.raises(ValueError):
-        fit_ghm(cfg, sample_grid=np.zeros((300, 2)))
-    with pytest.raises(SigmaDomainError):
-        fit_ghm(cfg, sample_grid=np.column_stack([np.zeros((300, 2)), np.ones(300)]))
-    with pytest.raises(ValueError):
-        fit_ghm(cfg, sample_grid=np.column_stack([np.zeros((100, 2)), np.full(100, cfg.sigma_center)]))
+    T = ReturnMap(cfg)
+    X, w = tangency_lab._manifold_seed(T, *tangency_lab._delay_grid())
+    assert len(w) == 205
+    dead = np.arange(3, 200, 20)
+    assert len(dead) == 10
+    X2, w2 = X.copy(), w.copy()
+    X2[dead], w2[dead] = 1e3, 0.2  # leaves at the first return, then overflows
+    U = tangency_lab._run_return_orbits(T, X, w, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        U2 = tangency_lab._run_return_orbits(T, X2, w2, 64)
+    live = np.setdiff1d(np.arange(205), dead)
+    assert np.array_equal(U2[live], U[live], equal_nan=True)
+    assert np.all(np.isnan(U2[dead, 1:]))
 
 
 def test_coexistence_search_smoke():
