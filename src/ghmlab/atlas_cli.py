@@ -6,7 +6,8 @@ _COMMANDS, declares each option once (flag, type, default, help); the
 argument parsers, the config schema and _options derive from it. All real
 numbers are printed with 17 significant digits so the text round-trips to
 the identical double. Exit codes: 0 success (including an empty search
-result), 2 I/O failure, 3 invalid input.
+result), 2 I/O failure, 3 invalid input: main maps every ValueError the
+library raises to 3, with its message.
 """
 
 from __future__ import annotations
@@ -84,9 +85,6 @@ def _emit(out: str | None, text: str) -> None:
 _REQUIRED = object()  # default of an option without one
 _BOX = get_type_hints(CoexistenceBox)  # field name -> annotated type
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 def _key(flag: str) -> str:
     return flag.lstrip("-").lower().replace("-", "_")
@@ -114,16 +112,7 @@ def _load_config(path: str | None, command: str) -> dict:
         for key, raw in cp[command].items():
             typ = _SCHEMA[command][key]
             try:
-                if typ is bool:
-                    low = raw.strip().lower()
-                    if low in _TRUE:
-                        got[key] = True
-                    elif low in _FALSE:
-                        got[key] = False
-                    else:
-                        raise ValueError(f"not a boolean: {raw!r}")
-                else:
-                    got[key] = typ(raw)
+                got[key] = cp.getboolean(command, key) if typ is bool else typ(raw)
                 if typ is float and not math.isfinite(got[key]):
                     raise ValueError(f"not finite: {raw!r}")
             except ValueError as e:
@@ -155,28 +144,14 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def _spectrum(o: dict) -> SaddleSpectrum:
-    try:
-        return SaddleSpectrum(o["lambda"], o["gamma"])
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_curves(args) -> int:
     o = _options(args, "curves")
-    R = o["r"]
-    try:
-        rows = trace_curves(R, o["samples"])
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
-    if not all(math.isfinite(s.M) and math.isfinite(s.B) for s in rows):
-        raise CliError(EXIT_INVALID, f"R={R!r} puts curve samples out of floating-point range")
     lines = ["curve,param,M,B,R"]
-    for s in rows:
+    for s in trace_curves(o["r"], o["samples"]):
         lines.append(
             f"{s.curve_id},{_fmt(s.parameter)},{_fmt(s.M)},{_fmt(s.B)},{_fmt(s.R)}"
         )
@@ -248,14 +223,13 @@ def _sweep_svg(grid) -> str:
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
                 f'fill="{_SVG_COLORS[v]}"/>'
             )
-    samples = trace_curves(grid.R, 600)
+    try:
+        samples = trace_curves(grid.R, 600)
+    except ValueError:  # R = -1 or -2, where the curves degenerate, or a huge R
+        samples = []  # the grid goes without its curve overlay
     parts.append('<g clip-path="url(#plot)" fill="none" stroke-width="1.5">')
     for cid, color in _SVG_CURVE_COLORS:
-        pts = [
-            f"{px(s.M):.2f},{py(s.B):.2f}"
-            for s in samples
-            if s.curve_id == cid and math.isfinite(s.M) and math.isfinite(s.B)
-        ]
+        pts = [f"{px(s.M):.2f},{py(s.B):.2f}" for s in samples if s.curve_id == cid]
         if pts:
             parts.append(f'<polyline stroke="{color}" points="{" ".join(pts)}"/>')
     parts.append("</g>")
@@ -284,10 +258,7 @@ def _cmd_sweep(args) -> int:
     o = _options(args, "sweep")
     m_min, m_max, b_min, b_max, nx, ny, R = (
         o[k] for k in ("m_min", "m_max", "b_min", "b_max", "nx", "ny", "r"))
-    try:
-        grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=o["threads"])
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=o["threads"])
     Ms = np.linspace(m_min, m_max, nx)
     Bs = np.linspace(b_min, b_max, ny)
     lines = ["M,B,R,class,period,lyap1,lyap2,rotation"]
@@ -303,10 +274,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_classify(args) -> int:
     o = _options(args, "classify")
     M, B, R = o["m"], o["b"], o["r"]
-    try:
-        cell = classify(GhmParams(M, B, R), ClassifyOptions(span=o["span"]))
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    cell = classify(GhmParams(M, B, R), ClassifyOptions(span=o["span"]))
     lines = ["M,B,R,class,period,lyap1,lyap2,rotation", _cell_row(M, B, R, cell)]
     _emit(o["out"], "\n".join(lines) + "\n")
     return EXIT_OK
@@ -314,7 +282,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_rescale(args) -> int:
     o = _options(args, "rescale")
-    sp = _spectrum(o)
+    sp = SaddleSpectrum(o["lambda"], o["gamma"])
     ns = _parse_n_list(o["n"])
     target = (o["target_m"], o["target_b"])
     coeffs = DEFAULT_COEFFS
@@ -322,11 +290,8 @@ def _cmd_rescale(args) -> int:
     lines = ["n,M_fit,B_fit,R_fit,M_asym,B_asym,R_asym,delta"]
     deltas: list[float | None] = []
     for n in ns:
-        try:
-            mu, phi = window_invert(sp, n, target)
-            asym = asymptotic_params(sp, mu, phi, n, j1)
-        except ValueError as e:
-            raise CliError(EXIT_INVALID, str(e))
+        mu, phi = window_invert(sp, n, target)
+        asym = asymptotic_params(sp, mu, phi, n, j1)
         try:
             if o["exact"]:
                 fit = fit_exact_map(asym)
@@ -355,16 +320,13 @@ def _cmd_rescale(args) -> int:
 
 def _cmd_window(args) -> int:
     o = _options(args, "window")
-    sp = _spectrum(o)
+    sp = SaddleSpectrum(o["lambda"], o["gamma"])
     ns = _parse_n_list(o["n"])
     tm, tb = o["target_m"], o["target_b"]
     lines = ["n,target_M,target_B,mu,phi,M_back,B_back,err"]
     for n in ns:
-        try:
-            mu, phi = window_invert(sp, n, (tm, tb))
-            M_back, B_back = window_mb(sp, mu, phi, n)
-        except ValueError as e:
-            raise CliError(EXIT_INVALID, str(e))
+        mu, phi = window_invert(sp, n, (tm, tb))
+        M_back, B_back = window_mb(sp, mu, phi, n)
         err = max(abs(M_back - tm), abs(B_back - tb))
         lines.append(
             f"{n},{_fmt(tm)},{_fmt(tb)},{_fmt(mu)},{_fmt(phi)},"
@@ -376,14 +338,11 @@ def _cmd_window(args) -> int:
 
 def _cmd_coexist(args) -> int:
     o = _options(args, "coexist")
-    sp = _spectrum(o)
+    sp = SaddleSpectrum(o["lambda"], o["gamma"])
     n_sink, n_circle = o["n_sink"], o["n_circle"]
     log: list[dict] = []
-    try:
-        box = CoexistenceBox(**{k: v for k, v in o.items() if k in _BOX})
-        hit = coexistence_search(sp, COEX_COEFFS, n_sink, n_circle, box=box, probe_log=log)
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    box = CoexistenceBox(**{k: v for k, v in o.items() if k in _BOX})
+    hit = coexistence_search(sp, COEX_COEFFS, n_sink, n_circle, box=box, probe_log=log)
     lines = []
     if hit is None:
         lines.append("status=none")
@@ -482,6 +441,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"ghmlab: {e}", file=sys.stderr)
         return e.code
+    except ValueError as e:  # the library's verdict on invalid input
+        print(f"ghmlab: {e}", file=sys.stderr)
+        return EXIT_INVALID
     except OSError as e:
         print(f"ghmlab: {e}", file=sys.stderr)
         return EXIT_IO

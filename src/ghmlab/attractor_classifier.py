@@ -8,8 +8,7 @@ multipliers -> sink), span steps of Lyapunov exponents that split chaotic /
 circle candidate / undecided, and a 3*circle_points tail on which circle
 candidates must pass a polygonal invariance test to be reported as
 invariant circles. Leaving the box |x|, |y| <= escape_radius makes a cell
-divergent: at the step it leaves, but in the Lyapunov span at the first
-16-step block end outside the box.
+divergent at the step it leaves, in every phase.
 
 Exponent convention: lambda_1 from tangent-vector growth, lambda_2 =
 <ln|det DT|> - lambda_1 (exact in 2D, same numbers as the two-vector QR
@@ -37,6 +36,9 @@ VERDICTS = ("sink", "circle", "chaotic", "divergent", "undecided")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _LOG_HUGE = -math.log(np.finfo(float).tiny)  # |log| of a normal double is below this
 MAX_STEPS = 10**8  # ClassifyOptions refuses a longer burn-in or span
+EPS_LYAP = 2e-4  # nats/iterate; weak NS circles sit near |l2| ~ 1e-3
+GAP_LIMIT_DEG = 10.0  # a circle's tail may leave no wider angular gap
+SEED_OFFSET = (1e-3, 2e-3)  # deterministic seed: offset from the chosen fixed point
 
 
 class OrbitEscapedError(RuntimeError):
@@ -58,12 +60,8 @@ class ClassifyOptions:
     max_period: int = 64
     period_tol: float = 1e-8
     escape_radius: float = 1.0e6
-    eps_lyap: float = 2e-4  # nats/iterate; weak NS circles sit near |l2| ~ 1e-3
     circle_points: int = 8192
     circle_bins: int = 256
-    gap_limit_deg: float = 10.0
-    # deterministic seed: offset from the chosen fixed point (see _seeds)
-    seed_offset: tuple[float, float] = (1e-3, 2e-3)
 
     def __post_init__(self):
         if self.span < 1000:
@@ -72,11 +70,8 @@ class ClassifyOptions:
             raise ValueError("burn_in must be >= 0 and the other counts >= 1")
         if max(self.span, self.burn_in) > MAX_STEPS:
             raise ValueError(f"span and burn_in must be at most {MAX_STEPS} steps")
-        tols = (self.period_tol, self.escape_radius, self.eps_lyap, self.gap_limit_deg)
-        if not all(math.isfinite(v) and v > 0.0 for v in tols):
-            raise ValueError("tolerances and the escape radius must be positive and finite")
-        if not all(math.isfinite(v) for v in self.seed_offset):
-            raise ValueError("seed_offset must be finite")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.period_tol, self.escape_radius)):
+            raise ValueError("period_tol and the escape radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -158,12 +153,12 @@ def _dist_to_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 
 def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int = 1,
-                         bins: int = 256, gap_limit_deg: float = 10.0) -> CircleReport:
+                         bins: int = 256) -> CircleReport:
     """Fit a closed polygonal curve to a bounded non-periodic tail.
 
     Points are sorted by angle about their centroid and averaged in angular
     bins; the polygon through the bin means is the curve estimate. Angular
-    gaps beyond gap_limit_deg raise NotACircleError. When p is given, the
+    gaps beyond GAP_LIMIT_DEG raise NotACircleError. When p is given, the
     invariance residual is the largest distance from the map image of a
     polygon vertex (map applied map_power times) back to the polygon.
     The rotation number is the mean wrapped angular increment per time step,
@@ -183,7 +178,7 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int 
     gaps = np.diff(srt)
     wrap_gap = srt[0] + 2.0 * math.pi - srt[-1]
     max_gap = max(gaps.max() if len(gaps) else 2 * math.pi, wrap_gap)
-    if max_gap > math.radians(gap_limit_deg):
+    if max_gap > math.radians(GAP_LIMIT_DEG):
         raise NotACircleError(f"angular gap {math.degrees(max_gap):.2f} deg exceeds limit")
 
     idx = np.minimum((bins * (ang + math.pi) / (2.0 * math.pi)).astype(int), bins - 1)
@@ -248,8 +243,7 @@ def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov
         if len(sub) < 2000:
             continue
         try:
-            rep = fit_invariant_circle(sub, p=p, map_power=q, bins=opts.circle_bins,
-                                       gap_limit_deg=opts.gap_limit_deg)
+            rep = fit_invariant_circle(sub, p=p, map_power=q, bins=opts.circle_bins)
         except NotACircleError as err:
             fails[q] = str(err)
             continue
@@ -361,8 +355,8 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     span's last block keeps its shorter length); the tangent vector is
     renormalized after each product. Returns (slog, sdet,
     x, y, esc): sums of log block norm and of log|det DT| (one pairwise sum
-    per window), the end state, and the step after which a cell was first
-    outside rad (0 if never), tested at block ends. slog is nan when a block
+    per window), the end state, and the step at which a cell left rad (0 if
+    never), read off each record by _exits. slog is nan when a block
     norm is not a normal double: an annihilated tangent vector, or a product
     that under- or overflowed (mean |det DT| below ~1e-38, or entries above
     ~1e19). A cell's sums run in an order set by its own data, so a one-cell
@@ -429,23 +423,21 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         np.log(ld, out=ld)
         for j in range(0, w, W):
             sdet = sdet + ld[:, j : j + W].sum(axis=1)
-        ends = np.append(np.arange(K, w, K), w)  # block ends
-        hit = ~((np.abs(Y[ends]) <= rad) & (np.abs(Y[ends + 1]) <= rad))
+        gone, at = _exits(Y, rad)
         del Y  # before the next record is allocated
-        s += w
-        gone = hit.any(axis=0)
         if gone.any():
-            esc[live[gone]] = s - w + ends[hit.argmax(axis=0)[gone]]
+            esc[live[gone]] = s + at
             keep = ~gone
             live, x, y, M, B, v1, v2, slog, sdet = (
                 v[keep] for v in (live, x, y, M, B, v1, v2, slog, sdet))
+        s += w
     for o, v in zip(out, (slog, sdet, x, y)):
         o[live] = v
     return (*out, esc)
 
 
-def _seeds(M, B, R, opts: ClassifyOptions):
-    """Start (x, y) of every cell: opts.seed_offset off the attracting fixed
+def _seeds(M, B, R):
+    """Start (x, y) of every cell: SEED_OFFSET off the attracting fixed
     point if any, else off the fixed point of smallest |x|, else the origin."""
     a = 1.0 + R
     b1 = 1.0 + B
@@ -462,7 +454,7 @@ def _seeds(M, B, R, opts: ClassifyOptions):
         att1 = _largest_modulus(-(2.0 + R) * x1, B + R * x1) < 1.0
         att2 = _largest_modulus(-(2.0 + R) * x2, B + R * x2) < 1.0
     xs = np.where(att1, x1, np.where(att2, x2, np.where(np.abs(x1) <= np.abs(x2), x1, x2)))
-    dx, dy = opts.seed_offset
+    dx, dy = SEED_OFFSET
     return np.where(hasfp, xs + dx, 0.0), np.where(hasfp, xs + dy, 0.0)
 
 
@@ -531,7 +523,7 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
                 k = per[j]
                 cyc = np.column_stack((Y[L - k + 1 : L + 1, j], Y[L - k + 2 :, j]))
                 ok, lams = _verify_cycle(GhmParams(float(cM[j]), float(cB[j]), R), cyc)
-                if ok and lams[0] < -opts.eps_lyap:
+                if ok and lams[0] < -EPS_LYAP:
                     verdict[g[j]], period[g[j]], lam[g[j]] = 1, k, lams
                     go_on[j] = False
             if go_on.any():
@@ -552,13 +544,12 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
         escape_step[gids[~alive]] = step_no + esc[~alive]
         lam[gids[alive]] = np.column_stack((g1, g2))[alive]
 
-        eps = opts.eps_lyap
-        cha = alive & (g1 > eps)
+        cha = alive & (g1 > EPS_LYAP)
         verdict[gids[cha]] = 2  # chaotic
         # alive cells that are neither chaotic nor circle candidates stay
         # undecided: contracting without a short period, or not transversally
         # contracting; circle candidates record a y-only tail for the fit
-        cand = np.flatnonzero(alive & ~cha & ~(g1 < -eps) & (g2 < -eps))
+        cand = np.flatnonzero(alive & ~cha & ~(g1 < -EPS_LYAP) & (g2 < -EPS_LYAP))
         n_tail = 3 * opts.circle_points
         for c in _chunks(cand.size, n_tail + 2):
             rs = cand[c]
@@ -594,18 +585,13 @@ def lyapunov_exponents(p: GhmParams, s0: State2, burn_in: int, span: int,
     """Both Lyapunov exponents in nats/iterate along the orbit of s0.
 
     The orbit runs burn_in steps, then span steps of the sweep's Lyapunov
-    kernel on one cell. Raises OrbitEscapedError if it leaves the box |x|,
-    |y| <= escape_radius: in the burn-in at the step it leaves, in the span
-    at the first 16-step block end outside the box. Returns (nan, nan) for
-    an orbit without exponents: a superstable one, or one whose block
-    product under- or overflows. ValueError for span < 1000, burn_in < 0
-    or an escape radius that is not positive and finite.
+    kernel on one cell. Raises OrbitEscapedError at the step it leaves the
+    box |x|, |y| <= escape_radius. Returns (nan, nan) for an orbit without
+    exponents: a superstable one, or one whose block product under- or
+    overflows. ValueError where ClassifyOptions refuses burn_in, span or
+    escape_radius: span below 1000, either above MAX_STEPS, and so on.
     """
-    if span < 1000:
-        raise ValueError("span must be >= 1000 for a meaningful average")
-    rad = escape_radius
-    if burn_in < 0 or not (math.isfinite(rad) and rad > 0.0):
-        raise ValueError("burn_in must be >= 0 and the escape radius positive and finite")
+    rad = ClassifyOptions(burn_in=burn_in, span=span, escape_radius=escape_radius).escape_radius
     x, y, M, B = (np.array([v]) for v in (s0.x, s0.y, p.M, p.B))
     esc = np.zeros(1, dtype=np.int64)
     with np.errstate(all="ignore"):
@@ -630,7 +616,7 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
     opts = opts or ClassifyOptions()
     M, B = np.array([p.M]), np.array([p.B])
     if s0 is None:
-        x, y = _seeds(M, B, p.R, opts)
+        x, y = _seeds(M, B, p.R)
     else:
         x, y = np.array([s0.x]), np.array([s0.y])
     return _sweep_cells(M, B, p.R, opts, x, y)[0]
@@ -663,5 +649,5 @@ def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: i
     opts = opts or ClassifyOptions()
     M = np.tile(np.linspace(m_min, m_max, nx), ny)
     B = np.repeat(np.linspace(b_min, b_max, ny), nx)
-    cells = _sweep_cells(M, B, R, opts, *_seeds(M, B, R, opts))
+    cells = _sweep_cells(M, B, R, opts, *_seeds(M, B, R))
     return SweepGrid(m_min, m_max, b_min, b_max, nx, ny, R, tuple(cells))

@@ -138,7 +138,8 @@ def trace_curves(R: float, samples_per_curve: int) -> list[CurveSample]:
     curve over interior points of omega in (0, pi), the neutral curve over
     alpha in (1, 3] (right endpoint included). The window matches the region
     where the curves organize the (M, B) plane around B = 1. At most
-    MAX_SAMPLES samples per curve are drawn.
+    MAX_SAMPLES samples per curve are drawn. ValueError when R puts a sample
+    out of floating-point range.
     """
     S = samples_per_curve
     if not 2 <= S <= MAX_SAMPLES:
@@ -160,6 +161,8 @@ def trace_curves(R: float, samples_per_curve: int) -> list[CurveSample]:
         al = 1.0 + 2.0 * (i + 1) / S
         M, B = curve_L_neutral(al, R)
         out.append(CurveSample("Lneutral", al, M, B, R))
+    if not all(math.isfinite(s.M) and math.isfinite(s.B) for s in out):
+        raise ValueError(f"R={R!r} puts curve samples out of floating-point range")
     return out
 
 

@@ -125,23 +125,20 @@ class ReturnMapConfig:
     """One first-return map: spectrum + global coefficients + (n, phi).
 
     phi is the perturbed rotation angle of the local map (the unfolding
-    coordinate); coeffs.mu is the splitting parameter. h is the half-height
-    of the exit box, fixing the sigma_n slice.
+    coordinate); coeffs.mu is the splitting parameter. The exit box's
+    half-height SIGMA_HALF_HEIGHT fixes the sigma_n slice.
     """
 
     spectrum: SaddleSpectrum
     coeffs: GlobalMapCoeffs
     n: int
     phi: float
-    h: float = SIGMA_HALF_HEIGHT
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("return index n must be >= 1")
         if not (0.0 < self.phi < math.pi):
             raise ValueError("phi must lie strictly inside (0, pi)")
-        if not (0.0 < self.h):
-            raise ValueError("box half-height h must be positive")
 
     @property
     def sigma_center(self) -> float:
@@ -149,7 +146,7 @@ class ReturnMapConfig:
 
     @property
     def sigma_halfwidth(self) -> float:
-        return self.spectrum.gamma ** (-self.n) * self.h
+        return self.spectrum.gamma ** (-self.n) * SIGMA_HALF_HEIGHT
 
 
 @dataclass(frozen=True)
@@ -279,27 +276,21 @@ def window_base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, ph
     return spectrum.gamma ** (-n) * coeffs.y_minus - lamn * float(coeffs.c @ (rn @ xc))
 
 
-def asymptotic_params(
-    spectrum: SaddleSpectrum,
-    mu: float,
-    phi: float,
-    n: int,
-    j1: float,
-    excluded_radius: float = EXCLUDED_RADIUS,
-) -> RescaledParams:
+def asymptotic_params(spectrum: SaddleSpectrum, mu: float, phi: float, n: int,
+                      j1: float) -> RescaledParams:
     """Leading-order rescaled parameters of the n-th return window.
 
     M = gamma^2n mu, B = (lam gamma)^n cos(n phi), R = 2 j1 (lam^2 gamma)^n / B.
     All suppressed correction terms are dropped. Rejected when B falls in
-    the strip |B| < excluded_radius, where the R formula degenerates; the
+    the strip |B| < EXCLUDED_RADIUS, where the R formula degenerates; the
     window map alone is window_mb.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     M, B = window_mb(spectrum, mu, phi, n)
-    if abs(B) < excluded_radius:
+    if abs(B) < EXCLUDED_RADIUS:
         raise ValueError(
-            f"|B|={abs(B):.6g} inside the strip |B| < {excluded_radius:g}, "
+            f"|B|={abs(B):.6g} inside the strip |B| < {EXCLUDED_RADIUS:g}, "
             "where the R asymptotics degenerate near B=0"
         )
     R = 2.0 * j1 * (spectrum.lam**2 * spectrum.gamma) ** n / B
@@ -317,12 +308,8 @@ def window_mb(spectrum: SaddleSpectrum, mu: float, phi: float, n: int) -> tuple[
         raise ValueError(f"gamma^2n overflows at return index n={n}") from None
 
 
-def window_invert(
-    spectrum: SaddleSpectrum,
-    n: int,
-    target: tuple[float, float],
-    excluded_radius: float = EXCLUDED_RADIUS,
-) -> tuple[float, float]:
+def window_invert(spectrum: SaddleSpectrum, n: int,
+                  target: tuple[float, float]) -> tuple[float, float]:
     """Leading-order inverse of the window map: (M, B) -> (mu, phi).
 
     mu = M gamma^-2n; phi solves B = (lam gamma)^n cos(n phi) on the branch
@@ -336,8 +323,8 @@ def window_invert(
     M, B = float(target[0]), float(target[1])
     if not (abs(M) < 10.0 and abs(B) < 10.0):
         raise ValueError("target must lie in (-10, 10)^2")
-    if math.hypot(M, B) < excluded_radius:
-        raise ValueError(f"target inside the excluded ball of radius {excluded_radius:g}")
+    if math.hypot(M, B) < EXCLUDED_RADIUS:
+        raise ValueError(f"target inside the excluded ball of radius {EXCLUDED_RADIUS:g}")
     v = B * (spectrum.lam * spectrum.gamma) ** (-n)
     if abs(v) > 1.0:
         raise ValueError(
@@ -355,14 +342,8 @@ def window_invert(
     return (mu, phi)
 
 
-def mount_window(
-    spectrum: SaddleSpectrum,
-    coeffs: GlobalMapCoeffs,
-    n: int,
-    target: tuple[float, float],
-    h: float = SIGMA_HALF_HEIGHT,
-    excluded_radius: float = EXCLUDED_RADIUS,
-) -> ReturnMapConfig:
+def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
+                 target: tuple[float, float]) -> ReturnMapConfig:
     """Realize a window target (M, B) inside the concrete model.
 
     window_invert solves the normalized leading-order relations; this mount
@@ -372,7 +353,7 @@ def mount_window(
     the asymptotic formulas assume (amplitude 1, phase 0, offset 0, positive
     orientation) are thereby realized rather than ignored.
     """
-    window_invert(spectrum, n, target, excluded_radius)  # shared validation
+    window_invert(spectrum, n, target)  # shared validation
     M_t, B_t = float(target[0]), float(target[1])
     dot, cross = _cb_phase(coeffs)
     K, chi = math.hypot(dot, cross), math.atan2(cross, dot)  # c^T Rot(t) b = K cos(t - chi)
@@ -392,7 +373,7 @@ def mount_window(
     phi = theta / n
     mu0 = window_base_mu(spectrum, coeffs, n, phi)
     mu = mu0 - M_t / (coeffs.d * spectrum.gamma ** (2 * n))
-    return ReturnMapConfig(spectrum, replace(coeffs, mu=mu), n, phi, h)
+    return ReturnMapConfig(spectrum, replace(coeffs, mu=mu), n, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +477,7 @@ def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int)
             X, w = T.step(X, w)
             W[:, k + 1] = w
         U = scale * W
-        out = ~((np.abs(W[:, 1:]) <= T.config.h) & (np.abs(U[:, 1:]) <= U_ESCAPE))
+        out = ~((np.abs(W[:, 1:]) <= SIGMA_HALF_HEIGHT) & (np.abs(U[:, 1:]) <= U_ESCAPE))
     U[:, 1:][np.logical_or.accumulate(out, axis=1)] = np.nan
     return U
 

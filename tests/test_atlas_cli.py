@@ -97,6 +97,23 @@ def test_sweep_svg_render(tmp_path, capsys):
     assert body.count("<rect") >= 9
 
 
+@pytest.mark.parametrize("R", ["-1", "-2"])
+def test_sweep_svg_at_R_where_the_curves_degenerate(tmp_path, capsys, R):
+    # the fold curve has no value at R = -1, the circle-birth curve none at
+    # R = -2: the SVG draws the grid without its curve overlay
+    csv, svg = tmp_path / "grid.csv", tmp_path / "grid.svg"
+    code, out, err = run(
+        capsys, "sweep", "--m-min", "-0.5", "--m-max", "1", "--b-min", "-0.4",
+        "--b-max", "0.4", "--nx", "3", "--ny", "3", "--R", R, "--out", str(csv),
+        "--svg", str(svg),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert len(csv.read_text().splitlines()) == 10
+    body = svg.read_text()
+    assert body.startswith("<svg") and body.count("<rect") >= 9
+    assert "polyline" not in body
+
+
 def test_sweep_missing_required_parameter(capsys):
     code, _, err = run(capsys, "sweep", "--m-min", "0", "--m-max", "1")
     assert code == 3
@@ -183,6 +200,18 @@ def test_rescale_exact_self_consistency(capsys):
     assert row[0] == "8"
     assert float(row[7]) < 1e-10  # planar-map data refits to roundoff
     assert "rescale: delta strictly decreasing over n=[8]: yes" in err
+
+
+def test_config_booleans(tmp_path, capsys):
+    # configparser's spellings: "yes" is --exact, "maybe" is no boolean
+    exact = run(capsys, "rescale", "--exact", "--n", "8")
+    ini = tmp_path / "rescale.ini"
+    ini.write_text("[rescale]\nexact = yes\nn = 8\n")
+    assert run(capsys, "rescale", "--config", str(ini)) == exact
+    ini.write_text("[rescale]\nexact = maybe\n")
+    code, out, err = run(capsys, "rescale", "--config", str(ini))
+    assert (code, out) == (3, "")
+    assert "'exact'" in err and "maybe" in err
 
 
 def test_rescale_fitted_single_window(capsys):
@@ -304,6 +333,9 @@ def test_config_rejects_unknown_names(tmp_path, capsys):
     malformed = tmp_path / "m.ini"
     malformed.write_text("samples = 3\n")  # key before any section header
     assert run(capsys, "curves", "--config", str(malformed))[0] == 3
+    undecodable = tmp_path / "u.ini"
+    undecodable.write_bytes(b"[curves]\nr = \xff\n")  # a UnicodeDecodeError under UTF-8
+    assert run(capsys, "curves", "--config", str(undecodable))[0] == 3
 
 
 def test_config_sections_for_other_commands_are_fine(tmp_path, capsys):

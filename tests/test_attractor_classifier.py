@@ -7,6 +7,7 @@ import pytest
 
 from ghmlab import attractor_classifier
 from ghmlab.attractor_classifier import (
+    EPS_LYAP,
     VERDICTS,
     AttractorClass,
     ClassifyOptions,
@@ -60,6 +61,10 @@ def test_lyapunov_guards():
     for rad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):
             lyapunov_exponents(GhmParams(0.0, 0.5, 0.0), State2(0.0, 0.0), 10, 1000, rad)
+    # classify's step cap: refused at once, not run for days
+    for burn_in, span in ((10**8 + 1, 1000), (0, 10**8 + 1)):
+        with pytest.raises(ValueError, match="at most"):
+            lyapunov_exponents(GhmParams(0.0, 0.5, 0.0), State2(0.0, 0.0), burn_in, span)
 
 
 def test_detect_period_basics():
@@ -162,11 +167,10 @@ def test_classify_weak_sinks_at_circle_birth_stay_undecided():
     # into sinks with the default options should update this test
     M0, B0 = curve_L_phi(math.pi / 3, 0.1)
     M1, B1 = curve_L_phi(math.pi / 3, -0.1)
-    eps = ClassifyOptions().eps_lyap
     for p in (GhmParams(M0 - 0.01, B0, 0.1), GhmParams(M1 + 0.01, B1, -0.1)):
         res = classify(p)
         assert (res.verdict, res.period) == ("undecided", None), p
-        assert max(res.lyapunov) < -eps, p
+        assert max(res.lyapunov) < -EPS_LYAP, p
     res = classify(GhmParams(M0 - 0.01, B0, 0.1), ClassifyOptions(burn_in=40_000))
     assert (res.verdict, res.period) == ("sink", 1)
 
@@ -181,7 +185,7 @@ def test_classify_undecided_when_period_cap_too_low():
     assert (res.verdict, res.lyapunov) == ("undecided", None)
     res = classify(GhmParams(0.999, 0.0, 0.0), opts)
     assert res.verdict == "undecided"
-    assert res.lyapunov[0] < -opts.eps_lyap
+    assert res.lyapunov[0] < -EPS_LYAP
 
 
 def test_classify_is_deterministic():
@@ -219,7 +223,7 @@ def test_sweep_rejects_degenerate_grid(monkeypatch):
         assert M.size <= attractor_classifier.MAX_GRID_CELLS
         return [None] * M.size
 
-    monkeypatch.setattr(attractor_classifier, "_seeds", lambda M, B, R, opts: (M, B))
+    monkeypatch.setattr(attractor_classifier, "_seeds", lambda M, B, R: (M, B))
     monkeypatch.setattr(attractor_classifier, "_sweep_cells", no_cells)
     with pytest.raises(ValueError, match="cap"):
         sweep(0.0, 1.0, 0.0, 1.0, 1001, 1000, 0.0)
@@ -362,8 +366,7 @@ def test_sweep_emits_no_runtime_warnings():
 def test_classify_options_validation():
     for kw in ({"span": 999}, {"burn_in": -1}, {"span": 10**8 + 1}, {"burn_in": 10**8 + 1},
                {"max_period": 0}, {"circle_points": 0}, {"circle_bins": 0}, {"period_tol": 0.0},
-               {"escape_radius": math.inf}, {"eps_lyap": math.nan}, {"gap_limit_deg": -1.0},
-               {"seed_offset": (math.nan, 0.0)}):
+               {"escape_radius": math.inf}):
         with pytest.raises(ValueError):
             ClassifyOptions(**kw)
     ClassifyOptions(burn_in=0, span=1000, max_period=1)
@@ -373,12 +376,10 @@ def test_classify_options_validation():
 # ---------------------------------------------------------------------------
 # textbook reference: lyapunov_exponents and classify as plain scalar loops,
 # one map step and one tangent step at a time, on classify's schedule (seed,
-# burn-in, period scan, Lyapunov span, circle tail) and with the span's
-# escape test at 16-step block ends. Orbits, verdicts, periods, rotations,
-# evidence and escape steps must agree exactly; exponents only to rounding,
-# since a block norm is not the product of per-step norms in floating point.
-
-_BLOCK = 16
+# burn-in, period scan, Lyapunov span, circle tail), with an escape test
+# after every step. Orbits, verdicts, periods, rotations, evidence and
+# escape steps must agree exactly; exponents only to rounding, since a block
+# norm is not the product of per-step norms in floating point.
 
 
 def _reference_steps(p, x, y, n, rad, k0, tail=None):
@@ -394,8 +395,8 @@ def _reference_steps(p, x, y, n, rad, k0, tail=None):
 
 
 def _reference_lyapunov_span(p, x, y, span, rad):
-    # (l1, l2, x, y) after span steps; an escape is seen at block ends only,
-    # and an annihilated tangent vector leaves (nan, nan)
+    # (l1, l2, x, y) after span steps; leaving the box at step k raises
+    # OrbitEscapedError(k), and an annihilated tangent vector leaves (nan, nan)
     M, B, R = p.M, p.B, p.R
     v1, v2 = attractor_classifier._INV_SQRT2, attractor_classifier._INV_SQRT2
     slog = 0.0
@@ -409,9 +410,8 @@ def _reference_lyapunov_span(p, x, y, span, rad):
         det = B + R * y
         sdet += math.log(abs(det)) if det != 0.0 else -math.inf
         x, y = y, M - B * x - y * y - R * x * y
-        if (k + 1) % _BLOCK == 0 or k + 1 == span:
-            if not (abs(x) <= rad and abs(y) <= rad):
-                raise OrbitEscapedError(k + 1)
+        if not (abs(x) <= rad and abs(y) <= rad):
+            raise OrbitEscapedError(k + 1)
     l1 = slog / span
     s = sdet / span
     if l1 < s - l1:
@@ -440,7 +440,7 @@ def _reference_lyapunov_exponents(p, s0, burn_in, span, escape_radius=1.0e6):
 
 def _reference_classify(p, opts, s0=None):
     if s0 is None:
-        x, y = attractor_classifier._seeds(np.array([p.M]), np.array([p.B]), p.R, opts)
+        x, y = attractor_classifier._seeds(np.array([p.M]), np.array([p.B]), p.R)
         s0 = State2(float(x[0]), float(y[0]))
     rad = opts.escape_radius
     L = 4 * opts.max_period
@@ -454,7 +454,7 @@ def _reference_classify(p, opts, s0=None):
     per = _reference_period(scan, opts.max_period, opts.period_tol)
     if per is not None:
         ok, lams = _verify_cycle(p, np.array(scan[-per:]))
-        if ok and lams[0] < -opts.eps_lyap:
+        if ok and lams[0] < -EPS_LYAP:
             return AttractorClass("sink", period=per, lyapunov=lams)
 
     k0 = opts.burn_in + L
@@ -465,7 +465,7 @@ def _reference_classify(p, opts, s0=None):
     if math.isnan(l1):
         return AttractorClass("undecided")
 
-    eps = opts.eps_lyap
+    eps = EPS_LYAP
     if l1 > eps:
         return AttractorClass("chaotic", lyapunov=(l1, l2))
     if l1 < -eps or not l2 < -eps:
@@ -573,9 +573,10 @@ def test_lyapunov_matches_textbook_loop_bitwise():
 
 # ---------------------------------------------------------------------------
 # reference: the sweep's per-step vector Lyapunov loop as it stood before the
-# block-product kernel, behind the kernel's interface. Orbits, escape tests
-# and verdicts must agree exactly; exponents only to rounding, since a block
-# norm is not the product of per-step norms in floating point.
+# block-product kernel, behind the kernel's interface, with an escape test
+# after every step. Orbits, escape steps and verdicts must agree exactly;
+# exponents only to rounding, since a block norm is not the product of
+# per-step norms in floating point.
 
 
 def _reference_lyapunov_loop(lx, ly, lM, lB, R, span, rad):
@@ -586,27 +587,25 @@ def _reference_lyapunov_loop(lx, ly, lM, lB, R, span, rad):
     sdet = np.zeros(n)
     alive = np.ones(n, bool)
     esc = np.zeros(n, dtype=np.int64)
-    s = 0
-    while s < span and alive.any():
-        m = min(16, span - s)
-        for _ in range(m):
-            det = lB + R * ly
-            rx = R * lx
-            w2 = (-2.0 * ly - rx) * v2 - det * v1
-            nrm = np.hypot(v2, w2)
-            z = None
-            if not nrm.all():
-                z = nrm == 0.0
-                slog[z] = -np.inf
-                nrm[z] = 1.0
-            slog += np.log(nrm)
-            v1, v2 = v2 / nrm, w2 / nrm
-            if z is not None:
-                v1[z] = 1.0
-                v2[z] = 0.0
-            sdet += np.log(np.abs(det))
-            lx, ly = ly, lM - lB * lx - ly * ly - rx * ly
-        s += m
+    for s in range(1, span + 1):
+        if not alive.any():
+            break
+        det = lB + R * ly
+        rx = R * lx
+        w2 = (-2.0 * ly - rx) * v2 - det * v1
+        nrm = np.hypot(v2, w2)
+        z = None
+        if not nrm.all():
+            z = nrm == 0.0
+            slog[z] = -np.inf
+            nrm[z] = 1.0
+        slog += np.log(nrm)
+        v1, v2 = v2 / nrm, w2 / nrm
+        if z is not None:
+            v1[z] = 1.0
+            v2[z] = 0.0
+        sdet += np.log(np.abs(det))
+        lx, ly = ly, lM - lB * lx - ly * ly - rx * ly
         bad = alive & ~((np.abs(lx) <= rad) & (np.abs(ly) <= rad))  # nan and inf too
         if bad.any():
             esc[bad] = s
@@ -694,7 +693,7 @@ def test_one_cell_lyapunov_kernel_is_its_batch_column():
         fixed += [(rng.uniform(-0.5, 2.3), rng.uniform(-1.0, 1.0), None)
                   for _ in range(32 - len(fixed))]
         M, B = (np.array([c[i] for c in fixed]) for i in (0, 1))
-        x, y = attractor_classifier._seeds(M, B, R, ClassifyOptions())
+        x, y = attractor_classifier._seeds(M, B, R)
         for i, c in enumerate(fixed):
             if c[2] is not None:
                 x[i], y[i] = c[2]
@@ -754,7 +753,7 @@ def test_classify_is_its_sweep_cell_bit_for_bit():
     cells = grid_and_classify((-1.0, 1.375, -0.3125, 0.5, 2, 2, 0.0), burn_in=2000,
                               max_period=16, **{**short, "span": 3000})
     assert [c.verdict for c in cells] == ["divergent", "chaotic", "divergent", "sink"]
-    # orbits that leave at block ends of the Lyapunov phase
+    # orbits that leave inside the Lyapunov phase
     cells = grid_and_classify((1.0, 2.2, -0.4, 0.4, 32, 24, 0.1), burn_in=50,
                               max_period=8, **{**short, "span": 4000})
     assert sum(c.evidence.get("escape_step", 0) > 50 + 32 for c in cells) >= 10

@@ -176,6 +176,9 @@ def test_trace_curves_layout():
         trace_curves(0.0, 1)
     with pytest.raises(ValueError):
         trace_curves(0.0, MAX_SAMPLES + 1)  # refused before a sample is drawn
+    # R = 1e308 is finite, but it overflows the flip and neutral curves
+    with pytest.raises(ValueError, match="floating-point range"):
+        trace_curves(1e308, 3)
 
 
 def test_trace_curves_samples_validate_under_default_tolerances():

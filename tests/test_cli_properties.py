@@ -70,15 +70,23 @@ def test_classify_exit_codes_hold_for_any_real_input(M, B, R, span):
         assert all(math.isfinite(v) for v in (M, B, R)) and 1000 <= span <= 3000
 
 
+# R = -1 and -2, where the SVG's curves degenerate, and any R
+_SWEEP_R = _mostly(st.one_of(st.floats(-0.5, 0.5), st.sampled_from([-1.0, -2.0])), _REALS)
+
+
 @settings(_SETTINGS, max_examples=60)  # most examples exit 3 at once
-@given(m=_AXIS, b=_AXIS, R=_mostly(st.floats(-0.5, 0.5), _REALS), nx=_SIDE, ny=_SIDE)
-def test_sweep_exit_codes_hold_for_any_real_input(m, b, R, nx, ny):
+@given(m=_AXIS, b=_AXIS, R=_SWEEP_R, nx=_SIDE, ny=_SIDE)
+@example(m=(-0.5, 1.0), b=(-0.4, 0.4), R=-1.0, nx=2, ny=2)  # once crashed drawing the SVG
+@example(m=(-0.5, 1.0), b=(-0.4, 0.4), R=-2.0, nx=2, ny=2)
+def test_sweep_exit_codes_hold_for_any_real_input(m, b, R, nx, ny, tmp_path_factory):
+    svg = tmp_path_factory.mktemp("sweep") / "grid.svg"
     bounds = zip(("--m-min", "--m-max", "--b-min", "--b-max"), (*m, *b))
     code, out = _run(["sweep", *(_real(f, v) for f, v in bounds), _real("--R", R),
-                      "--nx", str(nx), "--ny", str(ny)])
+                      "--nx", str(nx), "--ny", str(ny), "--svg", str(svg)])
     if code == 0:  # lyap2 is -inf wherever B = R = 0, so only nan is ruled out
         assert "nan" not in out
         assert len(out.splitlines()) == nx * ny + 1
+        assert svg.read_text().startswith("<svg")
 
 
 @_SETTINGS
