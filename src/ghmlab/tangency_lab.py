@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attractor_classifier import AttractorClass, ClassifyOptions, classify
+from .bifurcation_atlas import in_stability_domain
 from .ghm_core import GhmParams
 
 EXCLUDED_RADIUS = 0.25  # parameter-plane ball around the origin where B ~ 0
@@ -212,12 +213,33 @@ def tangency_jacobian(coeffs: GlobalMapCoeffs) -> float:
     return float(np.linalg.det(m))
 
 
+def _x_recursion(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi):
+    """Entries (e11, e12, e21, e22) of the x-recursion matrix E = lam^n A Rot(n phi)
+    and (r1, r2) of c.Rot(n phi), elementwise in phi (a float or an array)."""
+    lamn = spectrum.lam**n
+    ct, st = np.cos(n * phi), np.sin(n * phi)
+    (a11, a12), (a21, a22) = coeffs.A
+    c1, c2 = coeffs.c
+    E = (lamn * (a11 * ct + a12 * st), lamn * (a12 * ct - a11 * st),
+         lamn * (a21 * ct + a22 * st), lamn * (a22 * ct - a21 * st))
+    return E, (c1 * ct + c2 * st, c2 * ct - c1 * st)
+
+
+def _resolvent(E, r1, r2):
+    """x = (I - E)^-1 r in closed form, elementwise in E's entries and in r."""
+    e11, e12, e21, e22 = E
+    m11, m22 = 1.0 - e11, 1.0 - e22
+    det = m11 * m22 - e12 * e21
+    return (m22 * r1 + e12 * r2) / det, (e21 * r1 + m11 * r2) / det
+
+
 class ReturnMap:
     """T_n = T1 o T0^n restricted to the sigma_n slice.
 
     T0^n is applied in closed form (lam^n Rot(n phi), gamma^n); the
     composition is exact, not n substeps. step() is the batched map in
-    (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n is |w| <= h.
+    (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n is |w| <= h;
+    it is elementwise, so an orbit's bits do not depend on its batch.
     Calling the map on one raw (x1, x2, y) state checks sigma_n membership
     of y, then wraps step().
     """
@@ -225,34 +247,33 @@ class ReturnMap:
     def __init__(self, config: ReturnMapConfig):
         self.config = config
         sp, cf, n = config.spectrum, config.coeffs, config.n
-        self.n = n
-        self.lamn, self.gn = sp.lam**n, sp.gamma**n
-        rn = rot(n * config.phi)
-        self.E = self.lamn * (cf.A @ rn)  # x-recursion matrix
-        self._crow = cf.c @ rn
-        self.sigma_center = config.sigma_center
-        self.sigma_halfwidth = config.sigma_halfwidth
-        self._cf = cf
+        self.gn = sp.gamma**n
+        self.E, (r1, r2) = _x_recursion(sp, cf, n, config.phi)
+        gl = self.gn * sp.lam**n
+        self._k = (self.gn * cf.mu - cf.y_minus, self.gn * cf.d, gl * r1, gl * r2,
+                   *cf.x_plus, *cf.b)
 
     def in_sigma(self, y: float) -> bool:
-        return abs(y - self.sigma_center) <= self.sigma_halfwidth
+        return abs(y - self.config.sigma_center) <= self.config.sigma_halfwidth
 
-    def step(self, X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One return for (m, 2) x-parts X and (m,) exit-box coordinates w."""
-        cf, gn = self._cf, self.gn
-        wn = gn * cf.mu - cf.y_minus + gn * self.lamn * (X @ self._crow) + gn * cf.d * w * w
-        Xn = cf.x_plus[None, :] + X @ self.E.T + w[:, None] * cf.b[None, :]
-        return Xn, wn
+    def step(self, X, w):
+        """One return of x-parts X = (x1, x2) and exit-box coordinates w, each (m,)."""
+        x1, x2 = X
+        e11, e12, e21, e22 = self.E
+        k0, kw, k1, k2, p1, p2, b1, b2 = self._k
+        wn = k0 + kw * w * w + k1 * x1 + k2 * x2
+        return (p1 + e11 * x1 + e12 * x2 + b1 * w, p2 + e21 * x1 + e22 * x2 + b2 * w), wn
 
     def __call__(self, x1, x2, y):
+        cfg = self.config
         if not self.in_sigma(y):
             raise SigmaDomainError(
-                f"y={y!r} outside sigma_{self.n} "
-                f"(center {self.sigma_center!r}, half-width {self.sigma_halfwidth!r})"
+                f"y={y!r} outside sigma_{cfg.n} "
+                f"(center {cfg.sigma_center!r}, half-width {cfg.sigma_halfwidth!r})"
             )
-        ym = self._cf.y_minus
-        X, w = self.step(np.array([[x1, x2]], dtype=float), np.array([self.gn * y - ym]))
-        return (float(X[0, 0]), float(X[0, 1]), float((w[0] + ym) / self.gn))
+        ym = cfg.coeffs.y_minus
+        X, w = self.step((float(x1), float(x2)), self.gn * float(y) - ym)
+        return (float(X[0]), float(X[1]), float((w + ym) / self.gn))
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +285,16 @@ def _cb_phase(coeffs: GlobalMapCoeffs) -> tuple[float, float]:
     return float(coeffs.c @ coeffs.b), coeffs.c[1] * coeffs.b[0] - coeffs.c[0] * coeffs.b[1]
 
 
-def window_base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi: float) -> float:
+def window_base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi):
     """Splitting value mu0_n at which the n-th return window is centered.
 
     mu0_n = gamma^-n y_minus - lam^n c.Rot(n phi).Xc with Xc the fixed point
-    of the x-recursion, Xc = (I - lam^n A Rot(n phi))^-1 x_plus.
+    of the x-recursion, Xc = (I - lam^n A Rot(n phi))^-1 x_plus. Elementwise
+    in phi, a float or an array.
     """
-    lamn = spectrum.lam**n
-    rn = rot(n * phi)
-    xc = np.linalg.solve(np.eye(2) - lamn * (coeffs.A @ rn), coeffs.x_plus)
-    return spectrum.gamma ** (-n) * coeffs.y_minus - lamn * float(coeffs.c @ (rn @ xc))
+    E, (r1, r2) = _x_recursion(spectrum, coeffs, n, phi)
+    x1, x2 = _resolvent(E, *coeffs.x_plus)
+    return spectrum.gamma ** (-n) * coeffs.y_minus - spectrum.lam**n * (r1 * x1 + r2 * x2)
 
 
 def asymptotic_params(spectrum: SaddleSpectrum, mu: float, phi: float, n: int,
@@ -371,8 +392,8 @@ def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
         raise ValueError(f"no admissible rotation angle for target B={B_t:g} at n={n}")
     theta = min(cands, key=lambda t: abs(t - math.pi / 2.0))
     phi = theta / n
-    mu0 = window_base_mu(spectrum, coeffs, n, phi)
-    mu = mu0 - M_t / (coeffs.d * spectrum.gamma ** (2 * n))
+    mu = float(window_base_mu(spectrum, coeffs, n, phi)
+               - M_t / (coeffs.d * spectrum.gamma ** (2 * n)))
     return ReturnMapConfig(spectrum, replace(coeffs, mu=mu), n, phi)
 
 
@@ -451,11 +472,12 @@ def fit_exact_map(p: RescaledParams) -> RescaledParams:
 def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
     """(X, w) seeds of T_n on its attracting manifold at rescaled delay pairs
     (u_prev, u_now): X is the constant-w manifold point
-    (I - lam^n A Rot(n phi))^-1 (x_plus + b w_prev), with u = -d gamma^n w."""
+    (I - lam^n A Rot(n phi))^-1 (x_plus + b w_prev) of shape (2, m), with
+    u = -d gamma^n w."""
     cf = T.config.coeffs
     w_prev = -u_prev / (cf.d * T.gn)
-    rhs = cf.x_plus[None, :] + w_prev[:, None] * cf.b[None, :]
-    return np.linalg.solve(np.eye(2) - T.E, rhs.T).T, -u_now / (cf.d * T.gn)
+    X = _resolvent(T.E, cf.x_plus[0] + cf.b[0] * w_prev, cf.x_plus[1] + cf.b[1] * w_prev)
+    return np.array(X), -u_now / (cf.d * T.gn)
 
 
 def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int) -> np.ndarray:
@@ -466,10 +488,9 @@ def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int)
     (|w| > h) or the rescaled window (|u| > U_ESCAPE); from that return on its
     values are nan. The seeds themselves are not tested. Every orbit is
     stepped for all returns: one that has left runs on to inf or nan, and
-    since T_n acts on each row alone it cannot touch the others.
+    since step is elementwise it cannot touch the others' bits.
     """
     scale = -T.config.coeffs.d * T.gn
-    X = X.copy()  # C order: the rounding of X @ E.T depends on the memory layout
     W = np.empty((len(w), returns + 1))
     W[:, 0] = w
     with np.errstate(all="ignore"):
@@ -564,24 +585,12 @@ class CoexistenceHit:
     evidence: dict = field(default_factory=dict, compare=False)
 
 
-def _vector_base_mu(spectrum, coeffs, n, phis):
-    """window_base_mu over a phi array (closed-form 2x2 resolvent)."""
-    lamn = spectrum.lam**n
-    th = n * phis
-    ct, st = np.cos(th), np.sin(th)
-    A = coeffs.A
-    # E = lamn * A @ Rot(th), entrywise in phi
-    e11 = lamn * (A[0, 0] * ct + A[0, 1] * st)
-    e12 = lamn * (-A[0, 0] * st + A[0, 1] * ct)
-    e21 = lamn * (A[1, 0] * ct + A[1, 1] * st)
-    e22 = lamn * (-A[1, 0] * st + A[1, 1] * ct)
-    m11, m12, m21, m22 = 1.0 - e11, -e12, -e21, 1.0 - e22
-    det = m11 * m22 - m12 * m21
-    x1 = (m22 * coeffs.x_plus[0] - m12 * coeffs.x_plus[1]) / det
-    x2 = (-m21 * coeffs.x_plus[0] + m11 * coeffs.x_plus[1]) / det
-    c1 = coeffs.c[0] * ct + coeffs.c[1] * st  # c @ Rot(th)
-    c2 = -coeffs.c[0] * st + coeffs.c[1] * ct
-    return spectrum.gamma ** (-n) * coeffs.y_minus - lamn * (c1 * x1 + c2 * x2)
+def _birth_m(B, R):
+    """M of the circle-birth curve L_phi of the planar map at (B, R), R != 0:
+    M = (1 + R) x^2 + (1 + B) x at the fixed point x = (1 - B) / R whose
+    multipliers have product 1. Elementwise."""
+    x = (1.0 - B) / R
+    return (1.0 + R) * x * x + (1.0 + B) * x
 
 
 def _orbit_tail(config: ReturnMapConfig, returns: int, keep: int) -> np.ndarray | None:
@@ -661,22 +670,14 @@ def coexistence_search(
             & (R_c > 0.0)
             & (np.abs(B_c - 1.0) <= band)
         )
+        # the circle window just past the circle-birth curve
+        M_c = np.where(ok, _birth_m(B_c, R_c), 0.0) + box.m_circle_offset
     if not ok.any():
         return None
 
-    mu0_s = _vector_base_mu(sp, cf, ns, phis)
-    mu0_c = _vector_base_mu(sp, cf, nc, phis)
-
-    # circle-birth curve of the planar family at (B_c, R_c), then offset
-    hh = 1.0 + R_c / 2.0
-    cw = np.where(ok, (B_c - 1.0) * hh / np.where(R_c == 0.0, 1.0, R_c), 0.0)
-    M_lphi = (cw * cw - cw * (2.0 + R_c)) / (hh * hh)
-    M_c = M_lphi + box.m_circle_offset
-    mu_cand = mu0_c - M_c / (cf.d * sp.gamma ** (2 * nc))
-    M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - mu0_s)
+    mu_cand = window_base_mu(sp, cf, nc, phis) - M_c / (cf.d * sp.gamma ** (2 * nc))
+    M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - window_base_mu(sp, cf, ns, phis))
     ok &= np.abs(M_s) <= box.m_sink_max
-
-    from .bifurcation_atlas import in_stability_domain  # local import, no cycle
 
     R_s = 2.0 * j1 * l2g**ns / np.where(B_s == 0.0, np.inf, B_s)
     # weak-NS circles: transversal contraction is ~ -1e-3 per iterate and the
@@ -709,9 +710,7 @@ def coexistence_search(
                 fit_c = fit_ghm(cfg_c)
                 if not (math.isfinite(fit_c.R) and fit_c.R > 0.0):
                     break
-                xb = (1.0 - fit_c.B) / fit_c.R
-                m_birth = (1.0 + fit_c.R) * xb * xb + (1.0 + fit_c.B) * xb
-                dM = (m_birth + box.m_circle_offset) - fit_c.M
+                dM = (_birth_m(fit_c.B, fit_c.R) + box.m_circle_offset) - fit_c.M
                 if abs(dM) < 1e-3:
                     break
                 mu_i -= dM / (cf.d * sp.gamma ** (2 * nc))

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from ghmlab.atlas_cli import main as cli_main
 from ghmlab.attractor_classifier import ClassifyOptions, classify, sweep
@@ -20,7 +19,6 @@ from ghmlab.bifurcation_atlas import (
     curve_L_plus,
     in_stability_domain,
     organizing_points,
-    trace_curves,
 )
 from ghmlab.ghm_core import GhmParams, fixed_points, multipliers_at
 from ghmlab.tangency_lab import (

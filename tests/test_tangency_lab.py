@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ghmlab import tangency_lab
+from ghmlab.bifurcation_atlas import curve_L_phi
 from ghmlab.tangency_lab import (
     COEX_COEFFS,
     CoexistenceBox,
@@ -161,25 +162,25 @@ def test_return_map_is_global_after_n_local_steps():
 
 
 def test_return_map_step_is_batched_in_exit_box_coordinates():
-    # step() maps (x, w = gamma^n y - y_minus) row by row; local_map o global_map
-    # is the oracle, and calling the map on one state wraps step()
+    # step() maps (x, w = gamma^n y - y_minus) column by column; local_map o
+    # global_map is the oracle, and calling the map on one state wraps step()
     n, phi = 7, 1.1
     cf = replace(DEFAULT_COEFFS, mu=-0.003)
     cfg = ReturnMapConfig(DEFAULT_SPECTRUM, cf, n, phi)
     T = ReturnMap(cfg)
     rng = np.random.default_rng(3)
-    X = rng.uniform(-0.1, 0.1, (6, 2))
+    X = rng.uniform(-0.1, 0.1, (2, 6))
     y = cfg.sigma_center + rng.uniform(-1.0, 1.0, 6) * cfg.sigma_halfwidth
     Xn, wn = T.step(X, T.gn * y - cf.y_minus)
     floc, fglob = local_map(DEFAULT_SPECTRUM, phi), global_map(cf)
     for i in range(6):
-        s = (X[i, 0], X[i, 1], y[i])
+        s = (X[0, i], X[1, i], y[i])
         for _ in range(n):
             s = floc(*s)
         want = fglob(*s)
-        assert max(abs(Xn[i, 0] - want[0]), abs(Xn[i, 1] - want[1])) < 1e-12
+        assert max(abs(Xn[0][i] - want[0]), abs(Xn[1][i] - want[1])) < 1e-12
         assert abs(wn[i] - (T.gn * want[2] - cf.y_minus)) < 1e-12
-        assert max(abs(a - b) for a, b in zip(T(*X[i], y[i]), want)) < 1e-12
+        assert max(abs(a - b) for a, b in zip(T(*X[:, i], y[i]), want)) < 1e-12
 
 
 def test_return_map_rejects_states_off_the_slice():
@@ -362,7 +363,7 @@ def test_dead_orbits_do_not_touch_live_ones():
     dead = np.arange(3, 200, 20)
     assert len(dead) == 10
     X2, w2 = X.copy(), w.copy()
-    X2[dead], w2[dead] = 1e3, 0.2  # leaves at the first return, then overflows
+    X2[:, dead], w2[dead] = 1e3, 0.2  # leaves at the first return, then overflows
     U = tangency_lab._run_return_orbits(T, X, w, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -370,6 +371,50 @@ def test_dead_orbits_do_not_touch_live_ones():
     live = np.setdiff1d(np.arange(205), dead)
     assert np.array_equal(U2[live], U[live], equal_nan=True)
     assert np.all(np.isnan(U2[dead, 1:]))
+
+
+@pytest.mark.parametrize("n, target", [
+    (8, (1.0, 0.5)),
+    (12, (0.7, -0.6)),
+    (16, (1.2, 0.8)),  # a last-bit difference grows to 0.1 in u here within 64 returns
+    (6, (0.3, 0.4)),
+])
+def test_each_return_orbit_alone_is_its_batch_row(n, target):
+    T = ReturnMap(mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, n, target))
+    up, un = tangency_lab._delay_grid()
+    U = tangency_lab._run_return_orbits(T, *tangency_lab._manifold_seed(T, up, un), 64)
+    for i in range(len(up)):
+        seed = tangency_lab._manifold_seed(T, up[i:i + 1], un[i:i + 1])
+        alone = tangency_lab._run_return_orbits(T, *seed, 64)
+        assert np.array_equal(alone[0], U[i], equal_nan=True), i
+
+
+def test_orbit_tail_is_its_row_in_a_delay_grid_batch():
+    # the one-orbit checks of coexistence_search seed at u_prev = u_now = 0
+    cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (0.0, 0.5))
+    T = ReturnMap(cfg)
+    up, un = (np.append(u, 0.0) for u in tangency_lab._delay_grid())
+    U = tangency_lab._run_return_orbits(T, *tangency_lab._manifold_seed(T, up, un), 400)
+    tail = tangency_lab._orbit_tail(cfg, 400, 20)
+    assert tail is not None
+    assert np.array_equal(tail, U[-1, -20:])
+
+
+def test_window_base_mu_over_a_phi_array_is_its_scalar_calls():
+    phis = np.linspace(0.05, math.pi - 0.05, 257)
+    for cf in (DEFAULT_COEFFS, COEX_COEFFS):
+        for n in (4, 10, 14):
+            mu0 = window_base_mu(DEFAULT_SPECTRUM, cf, n, phis)
+            assert mu0.shape == phis.shape
+            for phi, m in zip(phis, mu0):
+                assert window_base_mu(DEFAULT_SPECTRUM, cf, n, float(phi)) == m
+
+
+def test_birth_m_is_the_circle_birth_curve():
+    for R in (-0.5, -0.05, 0.1, 0.4, 1.5):
+        for omega in np.linspace(0.1, math.pi - 0.1, 9):
+            M, B = curve_L_phi(float(omega), R)
+            assert abs(tangency_lab._birth_m(B, R) - M) < 1e-12
 
 
 def test_coexistence_search_smoke():
