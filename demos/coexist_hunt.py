@@ -6,7 +6,7 @@ past the circle-birth curve with R > 0 (a stable invariant circle). The two
 sigma slices are disjoint: their centres differ by the factor gamma^4.
 """
 
-import numpy as np
+from dataclasses import replace
 
 from ghmlab import (
     COEX_COEFFS,
@@ -15,7 +15,7 @@ from ghmlab import (
     ReturnMapConfig,
     coexistence_search,
 )
-from dataclasses import replace
+from ghmlab.tangency_lab import SIGMA_HALF_HEIGHT, _orbit_tail
 
 log: list = []
 hit = coexistence_search(DEFAULT_SPECTRUM, COEX_COEFFS, 10, 14, probe_log=log)
@@ -36,21 +36,16 @@ ratio = hit.sigma_center_sink / hit.sigma_center_circle
 print(f"\nsigma centres: {hit.sigma_center_sink:.6e} vs {hit.sigma_center_circle:.6e} "
       f"(ratio {ratio:.4f} = gamma^4 = {DEFAULT_SPECTRUM.gamma ** 4:.4f})")
 
-# drive both return maps directly at the winning parameter
+# drive both return maps directly at the winning parameter, from the seed
+# the direct orbit checks of coexistence_search use: on the manifold at u = 0
 sp = DEFAULT_SPECTRUM
 cf = replace(COEX_COEFFS, mu=hit.mu)
 for n, label in ((10, "sink"), (14, "circle")):
     cfg = ReturnMapConfig(sp, cf, n, hit.phi)
-    T = ReturnMap(cfg)
-    rn = np.array([[np.cos(n * hit.phi), -np.sin(n * hit.phi)],
-                   [np.sin(n * hit.phi), np.cos(n * hit.phi)]])
-    xc = np.linalg.solve(np.eye(2) - sp.lam**n * (cf.A @ rn), cf.x_plus)
-    s = (float(xc[0]), float(xc[1]), cfg.sigma_center)
-    ys = []
-    for _ in range(400):
-        s = T(*s)
-        ys.append(s[2])
-    tail = np.array(ys[-60:])
-    spread = (tail.max() - tail.min()) / cfg.sigma_halfwidth
+    tail = _orbit_tail(cfg, 400, 60)
+    assert tail is not None, f"T_{n} orbit left sigma_{n}"
+    # u = -d gamma^n w and w = gamma^n y - y_minus, so the half-width
+    # h gamma^-n of sigma_n in y is |d| gamma^n h in u
+    spread = (tail.max() - tail.min()) / (abs(cf.d) * ReturnMap(cfg).gn * SIGMA_HALF_HEIGHT)
     print(f"T_{n} ({label}): 400 returns stay in sigma_{n}; "
           f"tail spread {spread:.3e} of the half-width")

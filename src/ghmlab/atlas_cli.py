@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from typing import get_type_hints
@@ -33,7 +34,7 @@ from .tangency_lab import (
     asymptotic_params,
     coexistence_search,
     fit_exact_map,
-    fit_ghm,
+    fit_ghm_windows,
     mount_window,
     tangency_jacobian,
     window_invert,
@@ -280,6 +281,14 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _or_error(fn, *args):
+    """fn(*args), or the FitError or ValueError it raised."""
+    try:
+        return fn(*args)
+    except (FitError, ValueError) as err:
+        return err
+
+
 def _cmd_rescale(args) -> int:
     o = _options(args, "rescale")
     sp = SaddleSpectrum(o["lambda"], o["gamma"])
@@ -287,17 +296,17 @@ def _cmd_rescale(args) -> int:
     target = (o["target_m"], o["target_b"])
     coeffs = DEFAULT_COEFFS
     j1 = tangency_jacobian(coeffs)
+    asyms = [asymptotic_params(sp, *window_invert(sp, n, target), n, j1) for n in ns]
+    if o["exact"]:
+        fits = [_or_error(fit_exact_map, asym) for asym in asyms]
+    else:  # every window is mounted first, then all are fitted as one batch
+        cfgs = [_or_error(mount_window, sp, coeffs, n, target) for n in ns]
+        batch = iter(fit_ghm_windows([c for c in cfgs if not isinstance(c, Exception)]))
+        fits = [c if isinstance(c, Exception) else next(batch) for c in cfgs]
     lines = ["n,M_fit,B_fit,R_fit,M_asym,B_asym,R_asym,delta"]
     deltas: list[float | None] = []
-    for n in ns:
-        mu, phi = window_invert(sp, n, target)
-        asym = asymptotic_params(sp, mu, phi, n, j1)
-        try:
-            if o["exact"]:
-                fit = fit_exact_map(asym)
-            else:
-                fit = fit_ghm(mount_window(sp, coeffs, n, target))
-        except (FitError, ValueError):
+    for n, asym, fit in zip(ns, asyms, fits):
+        if isinstance(fit, Exception):
             lines.append(f"{n},,,,{_fmt(asym.M)},{_fmt(asym.B)},{_fmt(asym.R)},")
             deltas.append(None)
             continue
@@ -419,7 +428,9 @@ _SCHEMA: dict[str, dict[str, type]] = {
 _SCHEMA["coexist"].update(_BOX)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and kept: parsing leaves it as it was."""
     top = _Parser(prog="ghmlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     for command, (func, about, rows) in _COMMANDS.items():
@@ -436,7 +447,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as e:
         print(f"ghmlab: {e}", file=sys.stderr)

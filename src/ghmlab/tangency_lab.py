@@ -239,19 +239,34 @@ class ReturnMap:
     T0^n is applied in closed form (lam^n Rot(n phi), gamma^n); the
     composition is exact, not n substeps. step() is the batched map in
     (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n is |w| <= h;
-    it is elementwise, so an orbit's bits do not depend on its batch.
-    Calling the map on one raw (x1, x2, y) state checks sigma_n membership
-    of y, then wraps step().
+    it is elementwise, so an orbit's bits do not depend on its batch, and
+    rows() runs the orbits of several maps as one batch. u_scale = -d gamma^n
+    gives the rescaled coordinate u = u_scale * w. Calling the map on one raw
+    (x1, x2, y) state checks sigma_n membership of y, then wraps step().
     """
 
     def __init__(self, config: ReturnMapConfig):
         self.config = config
         sp, cf, n = config.spectrum, config.coeffs, config.n
         self.gn = sp.gamma**n
+        self.u_scale = -cf.d * self.gn
         self.E, (r1, r2) = _x_recursion(sp, cf, n, config.phi)
         gl = self.gn * sp.lam**n
         self._k = (self.gn * cf.mu - cf.y_minus, self.gn * cf.d, gl * r1, gl * r2,
                    *cf.x_plus, *cf.b)
+
+    @classmethod
+    def rows(cls, maps: list[ReturnMap], m: int) -> ReturnMap:
+        """The maps' orbits as one batch of m rows per map, in order: each
+        coefficient of step, and u_scale, becomes a column holding each map's
+        value on its own rows, so every row gets its own map's bits. The
+        result has no config; only step and u_scale are meant for it."""
+        T = cls.__new__(cls)
+        col = lambda *v: np.repeat(v, m)  # noqa: E731
+        T.E = tuple(map(col, *(t.E for t in maps)))
+        T._k = tuple(map(col, *(t._k for t in maps)))
+        T.u_scale = col(*(t.u_scale for t in maps))[:, None]
+        return T
 
     def in_sigma(self, y: float) -> bool:
         return abs(y - self.config.sigma_center) <= self.config.sigma_halfwidth
@@ -301,7 +316,8 @@ def asymptotic_params(spectrum: SaddleSpectrum, mu: float, phi: float, n: int,
                       j1: float) -> RescaledParams:
     """Leading-order rescaled parameters of the n-th return window.
 
-    M = gamma^2n mu, B = (lam gamma)^n cos(n phi), R = 2 j1 (lam^2 gamma)^n / B.
+    M = gamma^2n mu, B = (lam gamma)^n cos(n phi), R = 2 j1 (lam^2 gamma)^n / B
+    (_window_r).
     All suppressed correction terms are dropped. Rejected when B falls in
     the strip |B| < EXCLUDED_RADIUS, where the R formula degenerates; the
     window map alone is window_mb.
@@ -314,8 +330,15 @@ def asymptotic_params(spectrum: SaddleSpectrum, mu: float, phi: float, n: int,
             f"|B|={abs(B):.6g} inside the strip |B| < {EXCLUDED_RADIUS:g}, "
             "where the R asymptotics degenerate near B=0"
         )
-    R = 2.0 * j1 * (spectrum.lam**2 * spectrum.gamma) ** n / B
-    return RescaledParams(M, B, R, "asymptotic")
+    return RescaledParams(M, B, float(_window_r(spectrum, j1, n, B)), "asymptotic")
+
+
+def _window_r(spectrum: SaddleSpectrum, j1: float, n: int, B):
+    """Leading-order R = 2 j1 (lam^2 gamma)^n / B of window n, elementwise in
+    B (a float or an array); inf where B = 0."""
+    B = np.asarray(B, dtype=float)
+    return np.divide(2.0 * j1 * (spectrum.lam**2 * spectrum.gamma) ** n, B,
+                     out=np.full(B.shape, np.inf), where=B != 0.0)
 
 
 def window_mb(spectrum: SaddleSpectrum, mu: float, phi: float, n: int) -> tuple[float, float]:
@@ -473,16 +496,18 @@ def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
     """(X, w) seeds of T_n on its attracting manifold at rescaled delay pairs
     (u_prev, u_now): X is the constant-w manifold point
     (I - lam^n A Rot(n phi))^-1 (x_plus + b w_prev) of shape (2, m), with
-    u = -d gamma^n w."""
+    u = T.u_scale * w."""
     cf = T.config.coeffs
-    w_prev = -u_prev / (cf.d * T.gn)
+    w_prev = u_prev / T.u_scale
     X = _resolvent(T.E, cf.x_plus[0] + cf.b[0] * w_prev, cf.x_plus[1] + cf.b[1] * w_prev)
-    return np.array(X), -u_now / (cf.d * T.gn)
+    return np.array(X), u_now / T.u_scale
 
 
 def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int) -> np.ndarray:
     """u-history, shape (m, returns + 1), of T_n orbits from m seeds in (x, w)
-    coordinates, with u = -d gamma^n w and the seeds in column 0.
+    coordinates, with u = T.u_scale * w and the seeds in column 0. T is one
+    ReturnMap, or ReturnMap.rows of several, whose windows then share this
+    one loop of steps.
 
     An orbit is in the window until its first return outside sigma_n
     (|w| > h) or the rescaled window (|u| > U_ESCAPE); from that return on its
@@ -490,40 +515,63 @@ def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int)
     stepped for all returns: one that has left runs on to inf or nan, and
     since step is elementwise it cannot touch the others' bits.
     """
-    scale = -T.config.coeffs.d * T.gn
     W = np.empty((len(w), returns + 1))
     W[:, 0] = w
     with np.errstate(all="ignore"):
         for k in range(returns):
             X, w = T.step(X, w)
             W[:, k + 1] = w
-        U = scale * W
+        U = T.u_scale * W
         out = ~((np.abs(W[:, 1:]) <= SIGMA_HALF_HEIGHT) & (np.abs(U[:, 1:]) <= U_ESCAPE))
     U[:, 1:][np.logical_or.accumulate(out, axis=1)] = np.nan
     return U
 
 
 def fit_ghm(config: ReturnMapConfig) -> RescaledParams:
-    """Fit the rescaled planar map to orbits of the actual return map T_n.
+    """Fit the rescaled planar map to orbits of the actual return map T_n:
+    fit_ghm_windows of the one window, raising its FitError."""
+    fit, = fit_ghm_windows([config])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def fit_ghm_windows(configs: list[ReturnMapConfig]) -> list[RescaledParams | FitError]:
+    """fit_ghm of each window, with every window's seed orbits in one T_n batch.
 
     The seeds are fixed: the 5x41 _delay_grid in the rescaled delay pair
-    (u_prev, u_now), put on the attracting 2D manifold of T_n inside sigma_n
-    by _manifold_seed. Each seed is iterated FIT_RETURNS times and its first
+    (u_prev, u_now), put on the attracting 2D manifold of each window's T_n
+    inside sigma_n by _manifold_seed. All seeds of all windows are iterated
+    FIT_RETURNS times together (ReturnMap.rows; step is elementwise, so a
+    window's orbits are the bits it gets alone), and each orbit's first
     FIT_DISCARD returns are dropped (transversal collapse onto the manifold is
     one factor lam^n per return, so a handful suffices; long discards would
     drain the transient excitation the fit needs at sink windows). A triple
     (u_k, u_k+1, u_k+2) counts only when all three returns are in the window.
+    A window that cannot be fitted gets its FitError (or the ValueError of
+    its fit) in place of its parameters.
     """
-    T = ReturnMap(config)
-    U = _run_return_orbits(T, *_manifold_seed(T, *_delay_grid()), FIT_RETURNS)[:, FIT_DISCARD:]
-    ok = ~np.isnan(U[:, 2:])  # once out, an orbit stays nan: u_k+2 in means all three are
-    if not ok.any():
-        raise FitError("every sample orbit left the return window before the discard ended")
-    u0, u1, u2 = U[:, :-2][ok], U[:, 1:-1][ok], U[:, 2:][ok]
-    if len(u0) < 200:
-        raise FitError(f"only {len(u0)} in-window sample triples; need at least 200")
-    M, B, R, res = _fit_triples(u0, u1, u2)
-    return RescaledParams(M, B, R, "fitted", residual=res)
+    if not configs:
+        return []
+    maps = [ReturnMap(c) for c in configs]
+    up, un = _delay_grid()
+    Xs, ws = zip(*(_manifold_seed(T, up, un) for T in maps))
+    U = _run_return_orbits(ReturnMap.rows(maps, len(up)), np.concatenate(Xs, axis=1),
+                           np.concatenate(ws), FIT_RETURNS)
+    fits = []
+    for Uw in np.split(U[:, FIT_DISCARD:], len(maps)):
+        ok = ~np.isnan(Uw[:, 2:])  # once out, an orbit stays nan: u_k+2 in means all three are
+        try:
+            if not ok.any():
+                raise FitError("every sample orbit left the return window before the discard ended")
+            u0, u1, u2 = Uw[:, :-2][ok], Uw[:, 1:-1][ok], Uw[:, 2:][ok]
+            if len(u0) < 200:
+                raise FitError(f"only {len(u0)} in-window sample triples; need at least 200")
+            M, B, R, res = _fit_triples(u0, u1, u2)
+            fits.append(RescaledParams(M, B, R, "fitted", residual=res))
+        except (FitError, ValueError) as err:
+            fits.append(err)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +689,7 @@ def coexistence_search(
         box = CoexistenceBox()
     sp, cf = spectrum, coeffs
     j1 = tangency_jacobian(cf)
-    lg, l2g = sp.lam * sp.gamma, sp.lam**2 * sp.gamma
+    lg = sp.lam * sp.gamma
     ns, nc = n_sink, n_circle
 
     phis = np.linspace(box.phi_lo, box.phi_hi, box.phi_steps)
@@ -656,7 +704,7 @@ def coexistence_search(
         return -amp * (dot * np.cos(th) + cross * np.sin(th))
 
     B_s, B_c = b_eff(ns), b_eff(nc)
-    R_c = np.where(B_c != 0.0, 2.0 * j1 * l2g**nc / np.where(B_c == 0.0, 1.0, B_c), np.inf)
+    R_s, R_c = _window_r(sp, j1, ns, B_s), _window_r(sp, j1, nc, B_c)
 
     # circle side: inside the Lphi band (|B-1| strictly within the band the
     # cross term R carves out), born stable only when R > 0; a band that
@@ -679,7 +727,6 @@ def coexistence_search(
     M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - window_base_mu(sp, cf, ns, phis))
     ok &= np.abs(M_s) <= box.m_sink_max
 
-    R_s = 2.0 * j1 * l2g**ns / np.where(B_s == 0.0, np.inf, B_s)
     # weak-NS circles: transversal contraction is ~ -1e-3 per iterate and the
     # curve is visibly deformed, so the verdicts get a slow burn and fine bins
     vopts = ClassifyOptions(burn_in=60_000, circle_points=16384, circle_bins=512)

@@ -1,10 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ghmlab import atlas_cli, attractor_classifier, bifurcation_atlas
+from ghmlab import atlas_cli, attractor_classifier, bifurcation_atlas, tangency_lab
 from ghmlab.atlas_cli import main
+from ghmlab.tangency_lab import (
+    DEFAULT_COEFFS,
+    DEFAULT_SPECTRUM,
+    FitError,
+    mount_window,
+    window_invert,
+)
 from ghmlab.bifurcation_atlas import CURVE_IDS, CurveSample, validate_sample
 
 
@@ -231,6 +241,80 @@ def test_rescale_prints_an_empty_fit_row_when_the_fit_fails(capsys):
     assert row[0] == "8" and row[1:4] == ["", "", ""] and row[7] == ""
     assert float(row[4]) == pytest.approx(1.9615)
     assert "rescale: delta strictly decreasing over n=[8]: incomplete" in err
+
+
+def _fit_each_window(configs):
+    # the per-window loop that rescale's one batched fit replaces
+    fits = []
+    for cfg in configs:
+        try:
+            fits.append(tangency_lab.fit_ghm(cfg))
+        except FitError as err:
+            fits.append(err)
+    return fits
+
+
+@pytest.mark.parametrize("target", [
+    ("1.9615", "-0.877"),  # every fit fails
+    ("1.0", "0.95"),  # mount_window refuses n = 6, which window_invert accepts
+    ("0.7165502745803594", "-0.8702782177955612"),
+])
+def test_rescale_batch_prints_what_a_per_window_loop_prints(capsys, monkeypatch, target):
+    argv = ("rescale", "--n", "6,7,8,9,10,11,12,13,14,15,16,17,18",
+            "--target-m", target[0], "--target-b", target[1])
+    batched = run(capsys, *argv)
+    monkeypatch.setattr(atlas_cli, "fit_ghm_windows", _fit_each_window)
+    assert run(capsys, *argv) == batched
+    code, out, err = batched
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    assert code == 0 and len(rows) == 13
+    if target[0] == "1.9615":
+        assert all(r[1:4] == ["", "", ""] for r in rows) and "incomplete" in err
+    if target[1] == "0.95":
+        assert rows[0][1:4] == ["", "", ""] and all(r[1] for r in rows[1:])
+        with pytest.raises(ValueError, match="unreachable at n=6"):
+            mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 6, (1.0, 0.95))
+        window_invert(DEFAULT_SPECTRUM, 6, (1.0, 0.95))
+
+
+def test_rescale_window_invert_refusal_still_exits_3(capsys, monkeypatch):
+    # n = 8 is reachable, n = 5 is not: no table, the refusal's message
+    argv = ("rescale", "--n", "8,5", "--target-m", "1", "--target-b", "5.0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "ghmlab: |B|=5 exceeds (lam*gamma)^n=3.1758; unreachable at n=5\n"
+    monkeypatch.setattr(atlas_cli, "fit_ghm_windows", _fit_each_window)
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_one_parser_serves_every_call_in_either_order(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[rescale]\nradius = 1\n")
+    empty = tmp_path / "empty.ini"
+    empty.write_text("[coexist]\nm_sink_max = 1e-300\n")
+    calls = [
+        ("rescale", "--n", "8,0"),  # usage error
+        ("rescale", "--config", str(bad)),  # config-file error
+        ("classify", "--M", "0.2", "--B", "0.3", "--span", "1000"),
+        ("rescale", "--n", "8", "--target-b", "0.6"),
+        ("rescale", "--n", "8"),  # the flag of the call before must not stick
+        ("coexist", "--config", str(empty)),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    second = [run(capsys, *argv) for argv in calls[::-1]][::-1]
+    assert first == second
+    assert [code for code, _, _ in first] == [3, 3, 0, 0, 0, 0]
+    assert first[3][1] != first[4][1]
+    assert atlas_cli._parser() is atlas_cli._parser()
+
+
+def test_the_parser_is_not_built_at_import():
+    code = ("import ghmlab.atlas_cli as a; n = a._parser.cache_info().currsize; "
+            "a.main(['curves', '--samples', '2', '--out', '-']); "
+            "print(n, a._parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip().split("\n")[-1] == "0 1"
 
 
 def test_rescale_rejects_bad_spectrum(capsys):

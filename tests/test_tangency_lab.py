@@ -355,6 +355,51 @@ def test_fit_ghm_fits_only_in_window_returns(monkeypatch, n, target):
     assert np.all(np.abs(u) / (cfg.coeffs.d * cfg.spectrum.gamma**n) <= SIGMA_HALF_HEIGHT)
 
 
+def test_fit_ghm_windows_is_fit_ghm_per_window():
+    # one batch of windows at n = 6, 12 and 18, one whose every orbit leaves
+    # before the discard ends and one with too few triples; each window's
+    # result is the bits fit_ghm gives it alone
+    sp, cf = DEFAULT_SPECTRUM, DEFAULT_COEFFS
+    configs = [mount_window(sp, cf, n, target) for n, target in (
+        (6, (1.0, 0.5)),
+        (8, (5.0, 0.5)),
+        (12, (0.7, -0.6)),
+        (8, (1.9615, -0.877)),
+        (18, (1.2, 0.8)),
+    )]
+
+    def alone(cfg):
+        try:
+            return fit_ghm(cfg)
+        except FitError as err:
+            return err
+
+    for batch in (configs, configs[::-1]):
+        fits = tangency_lab.fit_ghm_windows(batch)
+        assert len(fits) == len(batch)
+        for cfg, fit in zip(batch, fits):
+            ref = alone(cfg)
+            if isinstance(ref, FitError):
+                assert type(fit) is FitError and str(fit) == str(ref)
+            else:
+                assert (fit.M, fit.B, fit.R, fit.residual) == (ref.M, ref.B, ref.R, ref.residual)
+    kinds = [type(f).__name__ for f in tangency_lab.fit_ghm_windows(configs)]
+    assert kinds == ["RescaledParams", "FitError", "RescaledParams", "FitError", "RescaledParams"]
+    assert tangency_lab.fit_ghm_windows([]) == []
+
+
+def test_window_r_is_inf_at_B_zero():
+    j1 = tangency_jacobian(DEFAULT_COEFFS)
+    B = np.array([-0.6, 0.0, 0.5, 1e-300])
+    R = tangency_lab._window_r(DEFAULT_SPECTRUM, j1, 10, B)
+    assert R[1] == math.inf and np.all(np.isfinite(R[[0, 2]]))
+    for b, r in zip(B, R):
+        assert tangency_lab._window_r(DEFAULT_SPECTRUM, j1, 10, float(b)) == r
+    mu, phi = window_invert(DEFAULT_SPECTRUM, 10, (1.0, -0.6))
+    asym = asymptotic_params(DEFAULT_SPECTRUM, mu, phi, 10, j1)
+    assert asym.R == 2.0 * j1 * (DEFAULT_SPECTRUM.lam**2 * DEFAULT_SPECTRUM.gamma) ** 10 / asym.B
+
+
 def test_dead_orbits_do_not_touch_live_ones():
     cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (1.0, 0.5))
     T = ReturnMap(cfg)
