@@ -14,12 +14,13 @@ Exponent convention: lambda_1 from tangent-vector growth, lambda_2 =
 <ln|det DT|> - lambda_1 (exact in 2D, same numbers as the two-vector QR
 scheme). Orbit windows are recorded and the tangent vector renormalized
 once per product of 16 consecutive Jacobians (Benettin et al., Meccanica
-15, 1980). A cell whose block norm is not a normal double has no
-exponents: a superstable orbit annihilates its tangent vector, and a
-product can under- or overflow. At one cell, where numpy's per-call cost
-dominates, the map steps and the renormalizations run the batch's
-floating-point operations on Python floats, over records of many windows
-whose block products the batch's code forms.
+15, 1980), by the power of two of its largest component: exact, so only
+the final log rounds. A cell whose block image's largest component is not
+a normal double has no exponents: a superstable orbit annihilates its
+tangent vector, and a product can under- or overflow. At one cell, where
+numpy's per-call cost dominates, the map steps and the renormalizations
+run the batch's floating-point operations on Python floats, over records
+of many windows whose block products the batch's code forms.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .ghm_core import GhmParams, State2, eig2
 VERDICTS = ("sink", "circle", "chaotic", "divergent", "undecided")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_LOG_HUGE = -math.log(np.finfo(float).tiny)  # |log| of a normal double is below this
+_LN2 = math.log(2.0)
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)  # the normal doubles
 MAX_STEPS = 10**8  # ClassifyOptions refuses a longer burn-in or span
 EPS_LYAP = 2e-4  # nats/iterate; weak NS circles sit near |l2| ~ 1e-3
 GAP_LIMIT_DEG = 10.0  # a circle's tail may leave no wider angular gap
@@ -338,10 +340,10 @@ def _block_products(a, d):
     a and d are (blocks, k, n): j runs along axis 1, and every block and
     cell is multiplied at once. Row 1 of a product is row 2 of the one before.
     """
-    shape = (a.shape[0], a.shape[2])
+    a, d = a.transpose(1, 0, 2).copy(), d.transpose(1, 0, 2).copy()  # step j's rows contiguous
+    shape = a.shape[1:]
     p, q, r, t = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
-    for j in range(a.shape[1]):
-        aj, dj = a[:, j], d[:, j]
+    for aj, dj in zip(a, d):
         p, q, r, t = r, t, aj * r - dj * p, aj * t - dj * q
     return p, q, r, t
 
@@ -352,15 +354,18 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     Each record holds whole windows of _LYAP_WINDOW steps, as many as keep
     it at or under _CELLS * _LYAP_BLOCK doubles (32 at one cell, one from 32
     cells up), and is cut into _LYAP_BLOCK-step Jacobian products (the
-    span's last block keeps its shorter length); the tangent vector is
-    renormalized after each product. Returns (slog, sdet,
-    x, y, esc): sums of log block norm and of log|det DT| (one pairwise sum
-    per window), the end state, and the step at which a cell left rad (0 if
-    never), read off each record by _exits. slog is nan when a block
-    norm is not a normal double: an annihilated tangent vector, or a product
-    that under- or overflowed (mean |det DT| below ~1e-38, or entries above
-    ~1e19). A cell's sums run in an order set by its own data, so a one-cell
-    batch, which renormalizes on Python floats, gets the bits of any batch.
+    span's last block keeps its shorter length); after each product the
+    tangent vector w is scaled by 2^-e, e the frexp exponent of
+    max(|w1|, |w2|), and e is added to an integer sum. Returns (slog, sdet,
+    x, y, esc): log of the tangent vector's growth, esum ln 2 + log|v| at
+    the end, and the sum of log|det DT| (one pairwise sum per window), the
+    end state, and the step at which a cell left rad (0 if never), read off
+    each record by _exits. slog is nan when some block's max(|w1|, |w2|) is
+    not a normal double: an annihilated tangent vector, or a product that
+    under- or overflowed (mean |det DT| below ~1e-38, or entries above
+    ~1e19). Scaling by 2^-e is exact and a cell's sums run in an order set
+    by its own data, so a one-cell batch, which renormalizes on Python
+    floats, gets the bits of any batch.
     """
     n = x.size
     out = [np.full(n, np.nan) for _ in range(4)]
@@ -368,8 +373,9 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     live = np.arange(n)
     v1 = np.full(n, _INV_SQRT2)
     v2 = np.full(n, _INV_SQRT2)
-    slog = np.zeros(n)
+    esum = np.zeros(n)  # whole powers of two taken out of the tangent vector
     sdet = np.zeros(n)
+    frexp, ldexp = math.frexp, math.ldexp
     W, K = _LYAP_WINDOW, _LYAP_BLOCK
     m = s = 0
     while s < span and live.size:
@@ -392,30 +398,29 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         if rem:
             tail = _block_products(aw[nb * K :].reshape(1, rem, m), dw[nb * K :].reshape(1, rem, m))
             prods = [np.concatenate(v) for v in zip(prods, tail)]
-        N = np.empty((nb + (rem > 0) + 1, m))  # slog, then one norm per block
-        N[0] = slog
         if m == 1:  # numpy's per-call cost would dominate one cell's loop
-            c1, c2, norms = float(v1[0]), float(v2[0]), []
+            c1, c2, es = float(v1[0]), float(v2[0]), float(esum[0])
             for p, q, r, t in zip(*(v[:, 0].tolist() for v in prods)):
                 w1 = p * c1 + q * c2
                 w2 = r * c1 + t * c2
-                nrm = float(np.hypot(w1, w2))  # math.hypot differs in the last bit
-                norms.append(nrm)
-                c1, c2 = (w1 / nrm, w2 / nrm) if nrm else (math.nan, math.nan)
-            N[1:, 0] = norms
-            v1, v2 = np.array([c1]), np.array([c2])
+                u1, u2 = abs(w1), abs(w2)
+                mx = u1 if u1 >= u2 else u2  # a nan w1 is missed here, not in slog
+                if not _TINY <= mx <= _HUGE:
+                    es = math.nan
+                e = frexp(mx)[1]
+                es += e
+                c1, c2 = ldexp(w1, -e), ldexp(w2, -e)
+            v1, v2, esum = np.array([c1]), np.array([c2]), np.array([es])
         else:
-            for b, (p, q, r, t) in enumerate(zip(*prods), 1):
+            N = np.empty((nb + (rem > 0), m))  # max |w| of each block's image
+            E = np.empty(N.shape, dtype=np.intc)
+            for b, (p, q, r, t) in enumerate(zip(*prods)):
                 w1 = p * v1 + q * v2
                 w2 = r * v1 + t * v2
-                nrm = np.hypot(w1, w2, out=N[b])
-                v1, v2 = w1 / nrm, w2 / nrm
-        # a norm outside the normal range has no usable log: 0 for an
-        # annihilated tangent vector, subnormal or inf for a product that
-        # under- or overflowed; nan stays sticky in the step-order sum
-        lg = np.log(N[1:], out=N[1:])
-        lg[~(np.abs(lg) < _LOG_HUGE)] = np.nan
-        slog = np.add.accumulate(N, axis=0)[-1]
+                mx = np.maximum(np.abs(w1), np.abs(w2), out=N[b])
+                e = np.negative(np.frexp(mx)[1], out=E[b])
+                v1, v2 = np.ldexp(w1, e), np.ldexp(w2, e)
+            esum = np.where(((N >= _TINY) & (N <= _HUGE)).all(axis=0), esum - E.sum(axis=0), np.nan)
         # log|det| goes to a's spent buffer one row per cell, so every cell
         # gets the pairwise sum of its own row in each window whatever the batch
         ld = aw.reshape(m, w)
@@ -428,9 +433,10 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         if gone.any():
             esc[live[gone]] = s + at
             keep = ~gone
-            live, x, y, M, B, v1, v2, slog, sdet = (
-                v[keep] for v in (live, x, y, M, B, v1, v2, slog, sdet))
+            live, x, y, M, B, v1, v2, esum, sdet = (
+                v[keep] for v in (live, x, y, M, B, v1, v2, esum, sdet))
         s += w
+    slog = esum * _LN2 + np.log(np.hypot(v1, v2))
     for o, v in zip(out, (slog, sdet, x, y)):
         o[live] = v
     return (*out, esc)
@@ -587,9 +593,11 @@ def lyapunov_exponents(p: GhmParams, s0: State2, burn_in: int, span: int,
     The orbit runs burn_in steps, then span steps of the sweep's Lyapunov
     kernel on one cell. Raises OrbitEscapedError at the step it leaves the
     box |x|, |y| <= escape_radius. Returns (nan, nan) for an orbit without
-    exponents: a superstable one, or one whose block product under- or
-    overflows. ValueError where ClassifyOptions refuses burn_in, span or
-    escape_radius: span below 1000, either above MAX_STEPS, and so on.
+    exponents: a superstable one, or one whose block image under- or
+    overflows (the largest component of a 16-step product times the
+    tangent vector is not a normal double). ValueError where ClassifyOptions
+    refuses burn_in, span or escape_radius: span below 1000, either above
+    MAX_STEPS, and so on.
     """
     rad = ClassifyOptions(burn_in=burn_in, span=span, escape_radius=escape_radius).escape_radius
     x, y, M, B = (np.array([v]) for v in (s0.x, s0.y, p.M, p.B))

@@ -693,15 +693,14 @@ def coexistence_search(
     ns, nc = n_sink, n_circle
 
     phis = np.linspace(box.phi_lo, box.phi_hi, box.phi_steps)
-    dot, cross = _cb_phase(cf)
 
-    def b_eff(n):
-        th = n * phis
+    def b_eff(n):  # B = -(lam gamma)^n c.Rot(n phi).b
         try:
             amp = lg**n
         except OverflowError:
             raise ValueError(f"(lam*gamma)^n overflows at return index n={n}") from None
-        return -amp * (dot * np.cos(th) + cross * np.sin(th))
+        _, (r1, r2) = _x_recursion(sp, cf, n, phis)
+        return -amp * (r1 * cf.b[0] + r2 * cf.b[1])
 
     B_s, B_c = b_eff(ns), b_eff(nc)
     R_s, R_c = _window_r(sp, j1, ns, B_s), _window_r(sp, j1, nc, B_c)

@@ -715,6 +715,50 @@ def test_one_cell_lyapunov_kernel_is_its_batch_column():
                         else {"exponents", "escape"})
 
 
+def test_lyapunov_kernel_outgrows_the_largest_double():
+    # l1 ~ 0.42 at the Henon point, so over 3000 steps the tangent vector
+    # grows by about e^1260, past the largest double (e^709.8); rescaling by
+    # powers of two keeps the exponents finite and equal to the per-step loop's
+    p, span = GhmParams(1.4, -0.3, 0.0), 3000
+    x, y = attractor_classifier._seeds(np.array([p.M]), np.array([p.B]), p.R)
+    ref = _reference_lyapunov_span(p, float(x[0]), float(y[0]), span, 1.0e6)[:2]
+    for n in (1, 2):  # the one-cell loop and the batch loop
+        cells = [np.repeat(v, n) for v in (x, y, [p.M], [p.B])]
+        slog, sdet, _, _, esc = attractor_classifier._lyapunov_windows(*cells, p.R, span, 1.0e6)
+        assert not esc.any() and (slog > math.log(np.finfo(float).max)).all()
+        for got, want in zip(attractor_classifier._exponents(slog, sdet, span), ref):
+            assert np.isfinite(got).all() and np.abs(got - want).max() <= 1e-12, (n, got, want)
+
+
+@pytest.mark.parametrize("entry", [0, 2])  # p spoils w1 = p*v1 + q*v2, r spoils w2
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("last", [False, True])
+def test_lyapunov_kernel_drops_a_cell_whose_block_image_is_half_bad(monkeypatch, entry, value,
+                                                                   last):
+    # Python's `a if a >= b else b` passes over a nan a where np.maximum
+    # returns it, so a nan or inf in one component of one block image, mid
+    # span or in the span's short last block, must leave the cell without
+    # exponents in the one-cell loop and in the batch loop alike; the other
+    # cell of the batch keeps its bits
+    block_products = attractor_classifier._block_products
+
+    def spoiled(a, d):
+        prods = [v.copy() for v in block_products(a, d)]
+        if (a.shape[1] < attractor_classifier._LYAP_BLOCK) == last:
+            prods[entry][-1 if last else 5, 0] = value
+        return prods
+
+    M, B = np.array([1.4, 1.3]), np.array([-0.3, -0.3])
+    x, y = attractor_classifier._seeds(M, B, 0.0)
+    clean = attractor_classifier._lyapunov_windows(x[1:], y[1:], M[1:], B[1:], 0.0, 1000, 1.0e6)
+    monkeypatch.setattr(attractor_classifier, "_block_products", spoiled)
+    with np.errstate(all="ignore"):
+        one = attractor_classifier._lyapunov_windows(x[:1], y[:1], M[:1], B[:1], 0.0, 1000, 1.0e6)
+        both = attractor_classifier._lyapunov_windows(x, y, M, B, 0.0, 1000, 1.0e6)
+    assert np.isnan(one[0][0]) and np.isnan(both[0][0])
+    assert np.isfinite(clean[0][0]) and both[0][1] == clean[0][0]
+
+
 def test_sweep_cell_does_not_depend_on_batch(monkeypatch):
     # (1.375, -0.3125) is chaotic; in the 2x2 grid it is the only cell of the
     # Lyapunov phase, in the 3x3 grid one of many, and in chunks of two cells
