@@ -307,9 +307,13 @@ def window_base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, ph
     of the x-recursion, Xc = (I - lam^n A Rot(n phi))^-1 x_plus. Elementwise
     in phi, a float or an array.
     """
-    E, (r1, r2) = _x_recursion(spectrum, coeffs, n, phi)
+    return _base_mu(spectrum, coeffs, n, *_x_recursion(spectrum, coeffs, n, phi))
+
+
+def _base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, E, r):
+    """window_base_mu from _x_recursion's (E, r) at n."""
     x1, x2 = _resolvent(E, *coeffs.x_plus)
-    return spectrum.gamma ** (-n) * coeffs.y_minus - spectrum.lam**n * (r1 * x1 + r2 * x2)
+    return spectrum.gamma ** (-n) * coeffs.y_minus - spectrum.lam**n * (r[0] * x1 + r[1] * x2)
 
 
 def asymptotic_params(spectrum: SaddleSpectrum, mu: float, phi: float, n: int,
@@ -434,20 +438,46 @@ def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float,
     family; it acts on the map's Jacobian exactly like a cross term of twice
     its size at equal arguments, so the reported R is r/q + 2 p/q. On exact
     planar-map data (r, p pure) this reduces to the literal coefficients.
+
+    The least-squares problem is solved by its normal equations: one product
+    X A^T, with A the (7, K) array whose rows are the six monomials X and the
+    target z2, gives the Gram matrix G = X X^T and X z2 together. Normal
+    equations square the design's condition number, so one step of iterative
+    refinement on the residual z2 - c X follows; it brings the coefficients
+    back to the accuracy of an SVD least-squares solve on the
+    ill-conditioned delay designs of long series. The design counts as rank-deficient when G's eigenvalue ratio is
+    at or below K eps: G sums K products, so its entries carry rounding of
+    about K eps relative to its largest eigenvalue, and a smaller eigenvalue
+    is not resolved from zero.
     """
-    if len(u0) < 50:
-        raise FitError(f"need at least 50 sample triples, got {len(u0)}")
+    K = len(u0)
+    if K < 50:
+        raise FitError(f"need at least 50 sample triples, got {K}")
     # standardized chart for conditioning; the normalized gauge below is
     # invariant under affine reparametrization, so the chart drops out
     pool = np.concatenate([u0, u1, u2])
     m0, s0 = float(pool.mean()), float(pool.std())
     if s0 == 0.0:
         raise FitError("sample triples are constant; no excitation to fit")
-    z0, z1, z2 = (u0 - m0) / s0, (u1 - m0) / s0, (u2 - m0) / s0
-    X = np.column_stack([np.ones_like(z0), z0, z1, z1 * z1, z0 * z1, z0 * z0])
-    coef, _, rank, _ = np.linalg.lstsq(X, z2, rcond=None)
-    if rank < 6:
-        raise FitError(f"fit matrix rank-deficient (rank {rank} < 6)")
+    A = np.empty((7, K))  # rows 0-5 the monomials X, row 6 the target z2
+    A[0] = 1.0
+    z0, z1, z2 = A[1], A[2], A[6]
+    np.divide(u0 - m0, s0, out=z0)
+    np.divide(u1 - m0, s0, out=z1)
+    np.divide(u2 - m0, s0, out=z2)
+    np.multiply(z1, z1, out=A[3])
+    np.multiply(z0, z1, out=A[4])
+    np.multiply(z0, z0, out=A[5])
+    X = A[:6]
+    # X @ A.T, not A @ A.T: numpy hands a product of an array with its own
+    # transpose to BLAS syrk, which is about 6x slower than gemm at 7 rows
+    S = X @ A.T
+    G = S[:, :6]
+    ev = np.linalg.eigvalsh(G)
+    if ev[0] <= K * np.finfo(float).eps * ev[-1]:
+        raise FitError(f"fit matrix rank-deficient (Gram eigenvalue ratio {ev[0] / ev[-1]:.1e})")
+    coef = np.linalg.solve(G, S[:, 6])
+    coef += np.linalg.solve(G, X @ (z2 - coef @ X))
     a0, a1, a2, q, r, p = (float(v) for v in coef)
     if abs(q) < 1e-10:
         raise FitError("no quadratic term in the fitted return relation")
@@ -458,7 +488,7 @@ def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float,
     M = s * (a0 + (a1 + a2) * y_c + (q + r + p) * y_c * y_c - y_c)
     B = -(a1 + (r + 2.0 * p) * y_c)
     R = r / q + 2.0 * p / q
-    rms = float(np.sqrt(np.mean((X @ coef - z2) ** 2)))
+    rms = float(np.sqrt(np.mean((coef @ X - z2) ** 2)))
     return M, B, R, abs(s) * rms  # residual in the normalized gauge
 
 
@@ -694,15 +724,15 @@ def coexistence_search(
 
     phis = np.linspace(box.phi_lo, box.phi_hi, box.phi_steps)
 
-    def b_eff(n):  # B = -(lam gamma)^n c.Rot(n phi).b
+    def window_terms(n):  # B = -(lam gamma)^n c.Rot(n phi).b and mu0_n, from one _x_recursion
         try:
             amp = lg**n
         except OverflowError:
             raise ValueError(f"(lam*gamma)^n overflows at return index n={n}") from None
-        _, (r1, r2) = _x_recursion(sp, cf, n, phis)
-        return -amp * (r1 * cf.b[0] + r2 * cf.b[1])
+        E, r = _x_recursion(sp, cf, n, phis)
+        return -amp * (r[0] * cf.b[0] + r[1] * cf.b[1]), _base_mu(sp, cf, n, E, r)
 
-    B_s, B_c = b_eff(ns), b_eff(nc)
+    (B_s, mu0_s), (B_c, mu0_c) = window_terms(ns), window_terms(nc)
     R_s, R_c = _window_r(sp, j1, ns, B_s), _window_r(sp, j1, nc, B_c)
 
     # circle side: inside the Lphi band (|B-1| strictly within the band the
@@ -722,8 +752,9 @@ def coexistence_search(
     if not ok.any():
         return None
 
-    mu_cand = window_base_mu(sp, cf, nc, phis) - M_c / (cf.d * sp.gamma ** (2 * nc))
-    M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - window_base_mu(sp, cf, ns, phis))
+    mu_cand = mu0_c - M_c / (cf.d * sp.gamma ** (2 * nc))
+    M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - mu0_s)
+    del mu0_s, mu0_c  # the probe loop keeps the other phi-grid arrays; these would raise its memory peak
     ok &= np.abs(M_s) <= box.m_sink_max
 
     # weak-NS circles: transversal contraction is ~ -1e-3 per iterate and the

@@ -287,6 +287,60 @@ def test_fit_series_rejections():
         fit_ghm_series(np.full(100, 0.25))  # no excitation
     with pytest.raises(FitError):
         fit_ghm_series(np.tile([0.0, 1.0], 50))  # 2-cycle: rank-deficient design
+    with pytest.raises(FitError, match="rank-deficient"):
+        fit_ghm_series(np.tile([0.0, 1.0, 0.5], 40))  # 3-cycle: three distinct delay pairs
+
+
+def _planar_series(M, B, R, x, y, length):
+    u = [x, y]
+    while len(u) < length:
+        x, y = y, M - B * x - y * y - R * x * y
+        u.append(y)
+    return u
+
+
+# a bounded sink orbit whose delay design is ill-conditioned enough that
+# unrefined normal equations miss (M, B, R) by about 1.5e-7
+ILL_CONDITIONED = ((1.3889640929197182, 0.4081484175652267, -0.08870468757446358),
+                   (0.7837873868112526, 0.5837873868112526))
+
+
+def test_fit_series_refines_its_normal_equations():
+    (M, B, R), (x, y) = ILL_CONDITIONED
+    fit = fit_ghm_series(_planar_series(M, B, R, x, y, 120))
+    assert max(abs(fit.M - M), abs(fit.B - B), abs(fit.R - R)) < 1e-9
+
+
+def _lstsq_fit(u0, u1, u2):
+    """(M, B, R) of _fit_triples by an SVD least-squares solve: the reference."""
+    pool = np.concatenate([u0, u1, u2])
+    m0, s0 = pool.mean(), pool.std()
+    z0, z1, z2 = (u0 - m0) / s0, (u1 - m0) / s0, (u2 - m0) / s0
+    X = np.column_stack([np.ones_like(z0), z0, z1, z1 * z1, z0 * z1, z0 * z0])
+    a0, a1, a2, q, r, p = np.linalg.lstsq(X, z2, rcond=None)[0]
+    y_c = -a2 / (2.0 * q + r)
+    return (-q * (a0 + (a1 + a2) * y_c + (q + r + p) * y_c * y_c - y_c),
+            -(a1 + (r + 2.0 * p) * y_c), r / q + 2.0 * p / q)
+
+
+def test_fit_triples_matches_an_lstsq_reference(monkeypatch):
+    seen = []
+    fit_triples = tangency_lab._fit_triples
+
+    def capture(u0, u1, u2):
+        fit = fit_triples(u0, u1, u2)
+        seen.append(((u0, u1, u2), fit[:3]))
+        return fit
+
+    monkeypatch.setattr(tangency_lab, "_fit_triples", capture)
+    sp, cf = DEFAULT_SPECTRUM, DEFAULT_COEFFS
+    tangency_lab.fit_ghm_windows([mount_window(sp, cf, n, (1.0, 0.5)) for n in range(6, 19)])
+    assert len(seen) == 13
+    tangency_lab.fit_exact_map(tangency_lab.RescaledParams(1.0, 0.5, -0.1, "asymptotic"))
+    (M, B, R), (x, y) = ILL_CONDITIONED
+    fit_ghm_series(_planar_series(M, B, R, x, y, 120))
+    for triples, fit in seen:
+        assert np.max(np.abs(np.subtract(fit, _lstsq_fit(*triples)))) < 1e-10
 
 
 def test_mounted_window_fit_lands_near_target():
