@@ -141,17 +141,45 @@ def detect_period(Y, max_period: int, tol: float) -> np.ndarray:
     return per
 
 
+_POLYGON_ROWS = 128  # points per pass of _dist_to_polygon: two (128, k) buffers
+
+
 def _dist_to_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polygon through verts, on (m, k)
-    arrays per coordinate; sqrt, monotone and correctly rounded, follows the min."""
+    """Distance from each point to the closed polygon through verts.
+
+    Per point and edge (a, a + b): t = clip(((p - a).b) / |b|^2, 0, 1) and
+    e = p - (a + t b); sqrt, monotone and correctly rounded, follows the min
+    of |e|^2. Rows of _POLYGON_ROWS points at a time run through two reused
+    (rows, k) buffers; t*b + a rounds as a + t*b does, so the bits are the
+    (m, k) array formula's.
+    """
     ax, ay = verts[:, 0], verts[:, 1]
     bx, by = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
     denom = bx * bx + by * by
     denom[denom == 0.0] = 1.0
-    px, py = points[:, :1], points[:, 1:]
-    t = np.clip(((px - ax) * bx + (py - ay) * by) / denom, 0.0, 1.0)
-    ex, ey = px - (ax + t * bx), py - (ay + t * by)
-    return np.sqrt((ex * ex + ey * ey).min(axis=1))
+    d2 = np.empty(len(points))
+    buf = np.empty((2, min(len(points), _POLYGON_ROWS), len(verts)))
+    for lo in range(0, len(points), _POLYGON_ROWS):
+        px, py = points[lo:lo + _POLYGON_ROWS, :1], points[lo:lo + _POLYGON_ROWS, 1:]
+        u, v = buf[0, :len(px)], buf[1, :len(px)]
+        np.subtract(px, ax, out=u)
+        u *= bx
+        np.subtract(py, ay, out=v)
+        v *= by
+        u += v
+        u /= denom
+        t = np.clip(u, 0.0, 1.0, out=u)
+        np.multiply(t, bx, out=v)
+        v += ax
+        np.subtract(px, v, out=v)  # ex
+        v *= v
+        t *= by
+        t += ay
+        np.subtract(py, t, out=t)  # ey
+        t *= t
+        v += t
+        v.min(axis=1, out=d2[lo:lo + _POLYGON_ROWS])
+    return np.sqrt(d2)
 
 
 def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int = 1,

@@ -35,6 +35,9 @@ SIGMA_HALF_HEIGHT = 0.25  # half-height h of the exit box in raw y
 # than this, relative (about half the digits of a double)
 ROUND_TRIP_TOL = 1e-8
 MAX_PHI_STEPS = 10**7  # CoexistenceBox refuses a finer phi scan
+# coexistence_search prefilters the phi grid this many points at a time, so
+# its ~20 elementwise work arrays hold 64 KB each whatever phi_steps is
+_PHI_CHUNK = 8192
 U_ESCAPE = 50.0  # rescaled-coordinate escape bound for fit orbits
 FIT_RETURNS = 64  # returns of each fit_ghm seed orbit
 FIT_DISCARD = 4  # leading returns fit_ghm drops before it forms triples
@@ -707,9 +710,12 @@ def coexistence_search(
     coefficients give the two effective (M, B) pairs sharing the single mu.
     mu is pinned by placing the n_circle window just past the circle-birth
     curve; phi survives only if the n_sink window then lands inside the
-    stability domain. Survivors are verified by fitting both return maps and
-    classifying the fitted planar maps, plus direct orbit checks on T_n.
-    The first fully verified probe in scan order wins (deterministic).
+    stability domain. The prefilter runs over the phi grid in chunks of
+    _PHI_CHUNK points and keeps only each chunk's survivors, so beyond the
+    grid itself its memory does not grow with phi_steps. The probe loop then
+    iterates the survivors in scan order, verifying each by fitting both
+    return maps and classifying the fitted planar maps, plus direct orbit
+    checks on T_n. The first fully verified probe wins (deterministic).
     """
     if n_sink == n_circle:
         raise ValueError("n_sink and n_circle must differ")
@@ -724,62 +730,65 @@ def coexistence_search(
 
     phis = np.linspace(box.phi_lo, box.phi_hi, box.phi_steps)
 
-    def window_terms(n):  # B = -(lam gamma)^n c.Rot(n phi).b and mu0_n, from one _x_recursion
+    def window_terms(n, phi):  # B = -(lam gamma)^n c.Rot(n phi).b and mu0_n, from one _x_recursion
         try:
             amp = lg**n
         except OverflowError:
             raise ValueError(f"(lam*gamma)^n overflows at return index n={n}") from None
-        E, r = _x_recursion(sp, cf, n, phis)
+        E, r = _x_recursion(sp, cf, n, phi)
         return -amp * (r[0] * cf.b[0] + r[1] * cf.b[1]), _base_mu(sp, cf, n, E, r)
 
-    (B_s, mu0_s), (B_c, mu0_c) = window_terms(ns), window_terms(nc)
-    R_s, R_c = _window_r(sp, j1, ns, B_s), _window_r(sp, j1, nc, B_c)
+    # each chunk keeps only its survivors' columns, in scan order; every
+    # step is elementwise, so a survivor's bits do not depend on its chunk
+    survivors = [np.empty((0, 8))]
+    for lo in range(0, len(phis), _PHI_CHUNK):
+        chunk = phis[lo:lo + _PHI_CHUNK]
+        (B_s, mu0_s), (B_c, mu0_c) = window_terms(ns, chunk), window_terms(nc, chunk)
+        R_s, R_c = _window_r(sp, j1, ns, B_s), _window_r(sp, j1, nc, B_c)
 
-    # circle side: inside the Lphi band (|B-1| strictly within the band the
-    # cross term R carves out), born stable only when R > 0; a band that
-    # overflows to inf (or is nan at R = inf) compares as it should
-    with np.errstate(all="ignore"):
-        band = box.lphi_band_margin * np.abs(R_c) / np.abs(1.0 + R_c / 2.0)
-        ok = (
-            (np.abs(B_s) <= box.b_sink_max)
-            & (B_c >= box.b_circle_lo)
-            & (B_c <= box.b_circle_hi)
-            & (R_c > 0.0)
-            & (np.abs(B_c - 1.0) <= band)
-        )
-        # the circle window just past the circle-birth curve
-        M_c = np.where(ok, _birth_m(B_c, R_c), 0.0) + box.m_circle_offset
-    if not ok.any():
-        return None
+        # circle side: inside the Lphi band (|B-1| strictly within the band the
+        # cross term R carves out), born stable only when R > 0; a band that
+        # overflows to inf (or is nan at R = inf) compares as it should
+        with np.errstate(all="ignore"):
+            band = box.lphi_band_margin * np.abs(R_c) / np.abs(1.0 + R_c / 2.0)
+            ok = (
+                (np.abs(B_s) <= box.b_sink_max)
+                & (B_c >= box.b_circle_lo)
+                & (B_c <= box.b_circle_hi)
+                & (R_c > 0.0)
+                & (np.abs(B_c - 1.0) <= band)
+            )
+            # the circle window just past the circle-birth curve
+            M_c = np.where(ok, _birth_m(B_c, R_c), 0.0) + box.m_circle_offset
+        if not ok.any():
+            continue
 
-    mu_cand = mu0_c - M_c / (cf.d * sp.gamma ** (2 * nc))
-    M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - mu0_s)
-    del mu0_s, mu0_c  # the probe loop keeps the other phi-grid arrays; these would raise its memory peak
-    ok &= np.abs(M_s) <= box.m_sink_max
+        mu_cand = mu0_c - M_c / (cf.d * sp.gamma ** (2 * nc))
+        M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - mu0_s)
+        ok &= np.abs(M_s) <= box.m_sink_max
+        survivors.append(np.stack([a[ok] for a in (chunk, mu_cand, M_s, B_s, M_c, B_c, R_c, R_s)], axis=1))
 
     # weak-NS circles: transversal contraction is ~ -1e-3 per iterate and the
     # curve is visibly deformed, so the verdicts get a slow burn and fine bins
     vopts = ClassifyOptions(burn_in=60_000, circle_points=16384, circle_bins=512)
-    idxs = np.flatnonzero(ok)
-    for i in idxs:
-        phi = float(phis[i])
+    for row in np.concatenate(survivors):
+        phi, mu_i, M_sink, B_sink, M_circle, B_circle, R_circle, R_sink = row.tolist()
         rec = {
             "phi": phi,
-            "mu": float(mu_cand[i]),
-            "M_sink": float(M_s[i]),
-            "B_sink": float(B_s[i]),
-            "M_circle": float(M_c[i]),
-            "B_circle": float(B_c[i]),
-            "R_circle": float(R_c[i]),
+            "mu": mu_i,
+            "M_sink": M_sink,
+            "B_sink": B_sink,
+            "M_circle": M_circle,
+            "B_circle": B_circle,
+            "R_circle": R_circle,
         }
         try:
-            if not in_stability_domain(GhmParams(float(M_s[i]), float(B_s[i]), float(R_s[i]))):
+            if not in_stability_domain(GhmParams(M_sink, B_sink, R_sink)):
                 rec["reject"] = "sink window outside stability domain"
                 continue
             # Newton on mu pins the FITTED circle-window M at birth + offset,
             # cancelling the fit-gauge bias in M; dM_fit/dmu = -d*gamma^(2 nc)
             # exactly, since mu enters the second-return value additively
-            mu_i = float(mu_cand[i])
             fit_c = None
             dM = math.inf
             for _ in range(4):

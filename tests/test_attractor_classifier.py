@@ -95,13 +95,20 @@ def _reference_dist_to_polygon(points, verts):
 
 def test_dist_to_polygon_matches_its_array_formula_bitwise():
     rng = np.random.default_rng(17)
-    for _ in range(300):
-        m, k = rng.integers(1, 40, size=2)
+
+    def check(m, k):
         verts = rng.normal(size=(k, 2)) * rng.uniform(1e-3, 10.0)
         verts[rng.random(k) < 0.2] = verts[0]  # zero-length edges
         points = rng.normal(size=(m, 2))
         got = attractor_classifier._dist_to_polygon(points, verts)
         assert got.tobytes() == _reference_dist_to_polygon(points, verts).tobytes()
+
+    for _ in range(300):
+        check(*rng.integers(1, 40, size=2))
+    # across the row-slice boundaries, and at coexist's 512 bins
+    for m in (1, 127, 128, 129, 300, 512):
+        for k in (256, 512):
+            check(m, k)
 
 
 def test_fit_circle_on_synthetic_ellipse():

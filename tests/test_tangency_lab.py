@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -537,3 +539,54 @@ def test_coexistence_search_smoke():
     for lo, hi in ((3.0, 0.1), (0.0, 1.0), (0.1, math.pi), (math.nan, 1.0), (0.1, 1e308)):
         with pytest.raises(ValueError):
             CoexistenceBox(phi_lo=lo, phi_hi=hi)
+
+
+@pytest.mark.parametrize("n_sink, n_circle, box, probes, found", [
+    (10, 14, CoexistenceBox(), 20, True),
+    (6, 7, CoexistenceBox(phi_steps=50_001, lphi_band_margin=1.0, b_circle_lo=0.9,
+                          b_circle_hi=1.1, m_sink_max=2.0), 1065, False),
+])
+def test_coexistence_scan_does_not_depend_on_chunk_size(monkeypatch, n_sink, n_circle, box,
+                                                        probes, found):
+    # fit_ghm and classify are deterministic, so each distinct call runs once;
+    # every config here differs from the others only in n, phi and mu
+    fits = {}
+
+    def fit_once(cfg):
+        key = (cfg.n, cfg.phi, cfg.coeffs.mu)
+        if key not in fits:
+            try:
+                fits[key] = fit_ghm(cfg)
+            except (FitError, ValueError) as err:
+                fits[key] = err
+        if isinstance(fits[key], Exception):
+            raise fits[key]
+        return fits[key]
+
+    monkeypatch.setattr(tangency_lab, "fit_ghm", fit_once)
+    monkeypatch.setattr(tangency_lab, "classify", functools.cache(tangency_lab.classify))
+    runs = []
+    for chunk in (7, 8192, 10**9):  # 10**9: the whole grid in one chunk
+        monkeypatch.setattr(tangency_lab, "_PHI_CHUNK", chunk)
+        log: list = []
+        hit = coexistence_search(DEFAULT_SPECTRUM, COEX_COEFFS, n_sink, n_circle, box, probe_log=log)
+        assert len(log) == probes and (hit is not None) == found
+        runs.append((repr(log), hit, repr(None if hit is None else hit.evidence)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_coexistence_scan_memory_does_not_grow_with_phi_steps(monkeypatch):
+    def refuse(config):
+        raise FitError("stub: every probe is rejected")
+
+    monkeypatch.setattr(tangency_lab, "fit_ghm", refuse)
+    log: list = []
+    tracemalloc.start()
+    try:
+        hit = coexistence_search(DEFAULT_SPECTRUM, COEX_COEFFS, 10, 14,
+                                 CoexistenceBox(phi_steps=10**6), probe_log=log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit is None and len(log) > 0
+    assert peak < 16 * 2**20  # the phi grid alone is 8 MB
