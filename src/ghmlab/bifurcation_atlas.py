@@ -7,6 +7,8 @@ All formulas are for the fixed points of (x, y) -> (y, M - Bx - y^2 - Rxy):
     circle-birth curve  M = (c^2 - c(2+R)) / (1+R/2)^2,
                         B = 1 + R c / (1+R/2),  c = cos(omega), 0 < omega < pi
     neutral-saddle curve: same expressions with c = alpha > 1
+    circle-birth by B   M = (1+R) x^2 + (1+B) x,  x = (1-B)/R   (lphi_m),
+                        over |B - 1| < |R| / |1+R/2|            (lphi_band)
 
 The circle-birth curve carries multipliers e^{+-i omega} (determinant 1,
 trace 2 cos omega); its omega -> 0 endpoint is the double-(+1) point and its
@@ -95,6 +97,21 @@ def _phi_family(c: float, R: float) -> tuple[float, float]:
     M = (c * c - c * (2.0 + R)) / (h * h)
     B = 1.0 + R * c / h
     return (M, B)
+
+
+def lphi_m(B, R):
+    """M of the circle-birth curve at (B, R), R != 0: M = (1 + R) x^2 + (1 + B) x
+    at the fixed point x = (1 - B) / R whose multipliers have product 1.
+    Elementwise."""
+    x = (1.0 - B) / R
+    return (1.0 + R) * x * x + (1.0 + B) * x
+
+
+def lphi_band(R, margin):
+    """margin * |R| / |1 + R/2|. At margin 1 this is the half-width of the
+    circle-birth curve's B-range about B = 1. Elementwise; on arrays R = -2
+    gives inf, and an inf or nan R gives nan."""
+    return margin * abs(R) / abs(1.0 + R / 2.0)
 
 
 def designated_fixed_point(sample: CurveSample) -> float:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attractor_classifier import AttractorClass, ClassifyOptions, classify
-from .bifurcation_atlas import in_stability_domain
+from .attractor_classifier import AttractorClass, ClassifyOptions, _window, classify
+from .bifurcation_atlas import in_stability_domain, lphi_band, lphi_m
 from .ghm_core import GhmParams
 
 EXCLUDED_RADIUS = 0.25  # parameter-plane ball around the origin where B ~ 0
@@ -43,10 +43,6 @@ FIT_RETURNS = 64  # returns of each fit_ghm seed orbit
 FIT_DISCARD = 4  # leading returns fit_ghm drops before it forms triples
 
 
-class SigmaDomainError(ValueError):
-    """Input state is outside the sigma_n slice of the return map."""
-
-
 class FitError(RuntimeError):
     """Return-map data cannot support the quadratic fit."""
 
@@ -56,11 +52,6 @@ def _vec2(v, name):
     if a.shape != (2,) or not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be a finite 2-vector")
     return a
-
-
-def rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -148,10 +139,6 @@ class ReturnMapConfig:
     def sigma_center(self) -> float:
         return self.spectrum.gamma ** (-self.n) * self.coeffs.y_minus
 
-    @property
-    def sigma_halfwidth(self) -> float:
-        return self.spectrum.gamma ** (-self.n) * SIGMA_HALF_HEIGHT
-
 
 @dataclass(frozen=True)
 class RescaledParams:
@@ -178,12 +165,13 @@ class RescaledParams:
 
 
 def local_map(spectrum: SaddleSpectrum, phi: float):
-    """Linear saddle step: returns f(x1, x2, y) -> (x1', x2', y')."""
-    m = spectrum.lam * rot(phi)
+    """Linear saddle step: returns f(x1, x2, y) -> (x1', x2', y'), x turned
+    by phi and scaled by lam, y scaled by gamma."""
+    c, s = spectrum.lam * math.cos(phi), spectrum.lam * math.sin(phi)
     g = spectrum.gamma
 
     def f(x1, x2, y):
-        return (m[0, 0] * x1 + m[0, 1] * x2, m[1, 0] * x1 + m[1, 1] * x2, g * y)
+        return (c * x1 - s * x2, s * x1 + c * x2, g * y)
 
     return f
 
@@ -244,8 +232,7 @@ class ReturnMap:
     (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n is |w| <= h;
     it is elementwise, so an orbit's bits do not depend on its batch, and
     rows() runs the orbits of several maps as one batch. u_scale = -d gamma^n
-    gives the rescaled coordinate u = u_scale * w. Calling the map on one raw
-    (x1, x2, y) state checks sigma_n membership of y, then wraps step().
+    gives the rescaled coordinate u = u_scale * w.
     """
 
     def __init__(self, config: ReturnMapConfig):
@@ -271,9 +258,6 @@ class ReturnMap:
         T.u_scale = col(*(t.u_scale for t in maps))[:, None]
         return T
 
-    def in_sigma(self, y: float) -> bool:
-        return abs(y - self.config.sigma_center) <= self.config.sigma_halfwidth
-
     def step(self, X, w):
         """One return of x-parts X = (x1, x2) and exit-box coordinates w, each (m,)."""
         x1, x2 = X
@@ -282,25 +266,9 @@ class ReturnMap:
         wn = k0 + kw * w * w + k1 * x1 + k2 * x2
         return (p1 + e11 * x1 + e12 * x2 + b1 * w, p2 + e21 * x1 + e22 * x2 + b2 * w), wn
 
-    def __call__(self, x1, x2, y):
-        cfg = self.config
-        if not self.in_sigma(y):
-            raise SigmaDomainError(
-                f"y={y!r} outside sigma_{cfg.n} "
-                f"(center {cfg.sigma_center!r}, half-width {cfg.sigma_halfwidth!r})"
-            )
-        ym = cfg.coeffs.y_minus
-        X, w = self.step((float(x1), float(x2)), self.gn * float(y) - ym)
-        return (float(X[0]), float(X[1]), float((w + ym) / self.gn))
-
 
 # ---------------------------------------------------------------------------
 # window asymptotics
-
-
-def _cb_phase(coeffs: GlobalMapCoeffs) -> tuple[float, float]:
-    """(c.b, c x b): c^T Rot(t) b = c.b cos(t) + c x b sin(t)."""
-    return float(coeffs.c @ coeffs.b), coeffs.c[1] * coeffs.b[0] - coeffs.c[0] * coeffs.b[1]
 
 
 def window_base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi):
@@ -406,8 +374,9 @@ def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
     """
     window_invert(spectrum, n, target)  # shared validation
     M_t, B_t = float(target[0]), float(target[1])
-    dot, cross = _cb_phase(coeffs)
-    K, chi = math.hypot(dot, cross), math.atan2(cross, dot)  # c^T Rot(t) b = K cos(t - chi)
+    c, b = coeffs.c, coeffs.b
+    dot, cross = float(c @ b), c[1] * b[0] - c[0] * b[1]  # c^T Rot(t) b = dot cos t + cross sin t
+    K, chi = math.hypot(dot, cross), math.atan2(cross, dot)  # = K cos(t - chi)
     lg = spectrum.lam * spectrum.gamma
     v = -B_t / (K * lg**n)
     if abs(v) > 1.0:
@@ -431,7 +400,7 @@ def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
 # fitting the rescaled map
 
 
-def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float, float, float, float]:
+def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> RescaledParams:
     """Quadratic regression u2 = f(u0, u1) reduced to the normalized gauge.
 
     Fits the full quadratic f = a0 + a1 u0 + a2 u1 + q u1^2 + r u0 u1 + p u0^2,
@@ -448,10 +417,10 @@ def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float,
     equations square the design's condition number, so one step of iterative
     refinement on the residual z2 - c X follows; it brings the coefficients
     back to the accuracy of an SVD least-squares solve on the
-    ill-conditioned delay designs of long series. The design counts as rank-deficient when G's eigenvalue ratio is
-    at or below K eps: G sums K products, so its entries carry rounding of
-    about K eps relative to its largest eigenvalue, and a smaller eigenvalue
-    is not resolved from zero.
+    ill-conditioned delay designs of long series. The design counts as
+    rank-deficient when G's eigenvalue ratio is at or below K eps: G sums K
+    products, so its entries carry rounding of about K eps relative to its
+    largest eigenvalue, and a smaller eigenvalue is not resolved from zero.
     """
     K = len(u0)
     if K < 50:
@@ -492,7 +461,7 @@ def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float,
     B = -(a1 + (r + 2.0 * p) * y_c)
     R = r / q + 2.0 * p / q
     rms = float(np.sqrt(np.mean((coef @ X - z2) ** 2)))
-    return M, B, R, abs(s) * rms  # residual in the normalized gauge
+    return RescaledParams(M, B, R, "fitted", residual=abs(s) * rms)  # normalized gauge
 
 
 def fit_ghm_series(series) -> RescaledParams:
@@ -507,8 +476,7 @@ def fit_ghm_series(series) -> RescaledParams:
         raise ValueError("series too short: need at least 52 consecutive values")
     if not np.all(np.isfinite(u)):
         raise ValueError("series contains non-finite values")
-    M, B, R, res = _fit_triples(u[:-2], u[1:-1], u[2:])
-    return RescaledParams(M, B, R, "fitted", residual=res)
+    return _fit_triples(u[:-2], u[1:-1], u[2:])
 
 
 def _delay_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -521,8 +489,7 @@ def fit_exact_map(p: RescaledParams) -> RescaledParams:
     """Self-consistency fit: regress on values of the planar map at p itself
     over fit_ghm's seed grid, bypassing the 3D return map."""
     u0, u1 = _delay_grid()
-    M, B, R, res = _fit_triples(u0, u1, p.M - p.B * u0 - u1 * u1 - p.R * u0 * u1)
-    return RescaledParams(M, B, R, "fitted", residual=res)
+    return _fit_triples(u0, u1, _window(u0, u1, p.M, p.B, p.R, 1)[-1])
 
 
 def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
@@ -600,8 +567,7 @@ def fit_ghm_windows(configs: list[ReturnMapConfig]) -> list[RescaledParams | Fit
             u0, u1, u2 = Uw[:, :-2][ok], Uw[:, 1:-1][ok], Uw[:, 2:][ok]
             if len(u0) < 200:
                 raise FitError(f"only {len(u0)} in-window sample triples; need at least 200")
-            M, B, R, res = _fit_triples(u0, u1, u2)
-            fits.append(RescaledParams(M, B, R, "fitted", residual=res))
+            fits.append(_fit_triples(u0, u1, u2))
         except (FitError, ValueError) as err:
             fits.append(err)
     return fits
@@ -666,14 +632,6 @@ class CoexistenceHit:
     evidence: dict = field(default_factory=dict, compare=False)
 
 
-def _birth_m(B, R):
-    """M of the circle-birth curve L_phi of the planar map at (B, R), R != 0:
-    M = (1 + R) x^2 + (1 + B) x at the fixed point x = (1 - B) / R whose
-    multipliers have product 1. Elementwise."""
-    x = (1.0 - B) / R
-    return (1.0 + R) * x * x + (1.0 + B) * x
-
-
 def _orbit_tail(config: ReturnMapConfig, returns: int, keep: int) -> np.ndarray | None:
     """Last `keep` u-values of one T_n orbit seeded on the manifold at u = 0,
     or None when it leaves sigma_n or the rescaled window within `returns`."""
@@ -692,7 +650,7 @@ def _confirm_sink_orbit(config: ReturnMapConfig) -> bool:
 def _confirm_circle_orbit(config: ReturnMapConfig) -> bool:
     """Direct check: a T_n orbit stays in sigma_n for 1000 returns without locking."""
     tail = _orbit_tail(config, 1000, 64)
-    return tail is not None and bool(np.max(np.abs(np.diff(tail))) > 1e-6)  # not collapsed to a point
+    return tail is not None and bool(np.max(np.abs(np.diff(tail))) > 1e-6)  # not a point
 
 
 def coexistence_search(
@@ -750,7 +708,7 @@ def coexistence_search(
         # cross term R carves out), born stable only when R > 0; a band that
         # overflows to inf (or is nan at R = inf) compares as it should
         with np.errstate(all="ignore"):
-            band = box.lphi_band_margin * np.abs(R_c) / np.abs(1.0 + R_c / 2.0)
+            band = lphi_band(R_c, box.lphi_band_margin)
             ok = (
                 (np.abs(B_s) <= box.b_sink_max)
                 & (B_c >= box.b_circle_lo)
@@ -759,14 +717,15 @@ def coexistence_search(
                 & (np.abs(B_c - 1.0) <= band)
             )
             # the circle window just past the circle-birth curve
-            M_c = np.where(ok, _birth_m(B_c, R_c), 0.0) + box.m_circle_offset
+            M_c = np.where(ok, lphi_m(B_c, R_c), 0.0) + box.m_circle_offset
         if not ok.any():
             continue
 
         mu_cand = mu0_c - M_c / (cf.d * sp.gamma ** (2 * nc))
         M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - mu0_s)
         ok &= np.abs(M_s) <= box.m_sink_max
-        survivors.append(np.stack([a[ok] for a in (chunk, mu_cand, M_s, B_s, M_c, B_c, R_c, R_s)], axis=1))
+        survivors.append(np.stack(
+            [a[ok] for a in (chunk, mu_cand, M_s, B_s, M_c, B_c, R_c, R_s)], axis=1))
 
     # weak-NS circles: transversal contraction is ~ -1e-3 per iterate and the
     # curve is visibly deformed, so the verdicts get a slow burn and fine bins
@@ -796,7 +755,7 @@ def coexistence_search(
                 fit_c = fit_ghm(cfg_c)
                 if not (math.isfinite(fit_c.R) and fit_c.R > 0.0):
                     break
-                dM = (_birth_m(fit_c.B, fit_c.R) + box.m_circle_offset) - fit_c.M
+                dM = (lphi_m(fit_c.B, fit_c.R) + box.m_circle_offset) - fit_c.M
                 if abs(dM) < 1e-3:
                     break
                 mu_i -= dM / (cf.d * sp.gamma ** (2 * nc))

@@ -13,6 +13,8 @@ from ghmlab.bifurcation_atlas import (
     curve_L_plus,
     designated_fixed_point,
     in_stability_domain,
+    lphi_band,
+    lphi_m,
     organizing_points,
     trace_curves,
     validate_sample,
@@ -189,3 +191,37 @@ def test_trace_curves_samples_validate_under_default_tolerances():
         x = designated_fixed_point(s)
         reports = fixed_points(p)
         assert any(abs(r.point.x - x) < 1e-8 * max(1.0, abs(x)) for r in reports)
+
+
+def test_lphi_m_is_the_circle_birth_curve():
+    for R in (-0.5, -0.05, 0.1, 0.4, 1.5):
+        for omega in np.linspace(0.1, math.pi - 0.1, 9):
+            M, B = curve_L_phi(float(omega), R)
+            assert abs(lphi_m(B, R) - M) < 1e-12
+
+
+def test_lphi_band_is_its_expression_bit_for_bit():
+    R = np.array([0.0, 0.1, -0.1, -2.0, 1e308, -1e308, math.inf, -math.inf, math.nan])
+    with np.errstate(all="ignore"):
+        band = lphi_band(R, 1.0)
+        assert band.tobytes() == (np.abs(R) / np.abs(1.0 + R / 2.0)).tobytes()
+        # coexistence_search's band: the margin multiplies first
+        assert lphi_band(R, 0.9).tobytes() == (0.9 * np.abs(R) / np.abs(1.0 + R / 2.0)).tobytes()
+    assert band[0] == 0.0 and band[3] == math.inf
+    assert band[4] == band[5] == 2.0
+    assert np.all(np.isnan(band[6:]))
+    # coexistence_search keeps |B - 1| <= band: a band of inf (R = -2) keeps
+    # every finite B, and a nan band (R infinite or nan) keeps none
+    dev = np.array([0.0, 0.5, 1e300])
+    assert np.all(dev <= band[3])
+    assert not np.any(dev[:, None] <= band[6:])
+
+
+def test_lphi_band_is_the_circle_birth_B_range():
+    # cos omega rounds to +-1 at omega = 1e-9 and pi - 1e-9: the curve's ends
+    omegas = [1e-9, *np.linspace(0.1, math.pi - 0.1, 9), math.pi - 1e-9]
+    for R in (-1.5, -0.5, -0.05, 0.1, 0.4, 1.5):
+        dev = [abs(curve_L_phi(float(om), R)[1] - 1.0) for om in omegas]
+        band = lphi_band(R, 1.0)
+        assert abs(dev[0] - band) < 1e-12 and abs(dev[-1] - band) < 1e-12
+        assert max(dev) <= band + 1e-12

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ghmlab import tangency_lab
-from ghmlab.bifurcation_atlas import curve_L_phi
 from ghmlab.tangency_lab import (
     COEX_COEFFS,
     CoexistenceBox,
@@ -22,7 +21,6 @@ from ghmlab.tangency_lab import (
     ReturnMapConfig,
     SIGMA_HALF_HEIGHT,
     SaddleSpectrum,
-    SigmaDomainError,
     U_ESCAPE,
     asymptotic_params,
     coexistence_search,
@@ -31,11 +29,14 @@ from ghmlab.tangency_lab import (
     global_map,
     local_map,
     mount_window,
-    rot,
     tangency_jacobian,
     window_base_mu,
     window_invert,
 )
+
+
+def _rot(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
 
 def test_spectrum_gate_examples():
@@ -138,8 +139,6 @@ def test_sigma_slices_scale_by_gamma():
         a = ReturnMapConfig(sp, DEFAULT_COEFFS, n, 1.0)
         b = ReturnMapConfig(sp, DEFAULT_COEFFS, n + 1, 1.0)
         assert abs(a.sigma_center / b.sigma_center - sp.gamma) < 1e-12
-        assert abs(a.sigma_halfwidth / b.sigma_halfwidth - sp.gamma) < 1e-12
-        assert abs(a.sigma_halfwidth / a.sigma_center - 0.25 / DEFAULT_COEFFS.y_minus) < 1e-12
 
 
 def test_return_map_config_validation():
@@ -151,28 +150,29 @@ def test_return_map_config_validation():
 
 def test_return_map_is_global_after_n_local_steps():
     n, phi = 6, 0.9
-    cfg = ReturnMapConfig(DEFAULT_SPECTRUM, replace(DEFAULT_COEFFS, mu=0.01), n, phi)
-    T = ReturnMap(cfg)
-    y0 = cfg.sigma_center + 0.4 * cfg.sigma_halfwidth
-    got = T(0.05, -0.02, y0)
+    cf = replace(DEFAULT_COEFFS, mu=0.01)
+    T = ReturnMap(ReturnMapConfig(DEFAULT_SPECTRUM, cf, n, phi))
+    y0 = (cf.y_minus + 0.4 * SIGMA_HALF_HEIGHT) / T.gn  # w = 0.4 h
+    X, w = T.step((0.05, -0.02), T.gn * y0 - cf.y_minus)
     s = (0.05, -0.02, y0)
     floc = local_map(DEFAULT_SPECTRUM, phi)
     for _ in range(n):
         s = floc(*s)
-    want = global_map(replace(DEFAULT_COEFFS, mu=0.01))(*s)
-    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+    want = global_map(cf)(*s)
+    assert max(abs(X[0] - want[0]), abs(X[1] - want[1])) < 1e-12
+    assert abs((w + cf.y_minus) / T.gn - want[2]) < 1e-12
 
 
 def test_return_map_step_is_batched_in_exit_box_coordinates():
     # step() maps (x, w = gamma^n y - y_minus) column by column; local_map o
-    # global_map is the oracle, and calling the map on one state wraps step()
+    # global_map is the oracle
     n, phi = 7, 1.1
     cf = replace(DEFAULT_COEFFS, mu=-0.003)
     cfg = ReturnMapConfig(DEFAULT_SPECTRUM, cf, n, phi)
     T = ReturnMap(cfg)
     rng = np.random.default_rng(3)
     X = rng.uniform(-0.1, 0.1, (2, 6))
-    y = cfg.sigma_center + rng.uniform(-1.0, 1.0, 6) * cfg.sigma_halfwidth
+    y = cfg.sigma_center + rng.uniform(-1.0, 1.0, 6) * SIGMA_HALF_HEIGHT / T.gn
     Xn, wn = T.step(X, T.gn * y - cf.y_minus)
     floc, fglob = local_map(DEFAULT_SPECTRUM, phi), global_map(cf)
     for i in range(6):
@@ -182,16 +182,6 @@ def test_return_map_step_is_batched_in_exit_box_coordinates():
         want = fglob(*s)
         assert max(abs(Xn[0][i] - want[0]), abs(Xn[1][i] - want[1])) < 1e-12
         assert abs(wn[i] - (T.gn * want[2] - cf.y_minus)) < 1e-12
-        assert max(abs(a - b) for a, b in zip(T(*X[:, i], y[i]), want)) < 1e-12
-
-
-def test_return_map_rejects_states_off_the_slice():
-    cfg = ReturnMapConfig(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 6, 0.9)
-    T = ReturnMap(cfg)
-    with pytest.raises(SigmaDomainError):
-        T(0.0, 0.0, cfg.sigma_center + 1.01 * cfg.sigma_halfwidth)
-    with pytest.raises(SigmaDomainError):
-        T(0.0, 0.0, DEFAULT_COEFFS.y_minus)  # the raw exit level, not the slice
 
 
 def test_window_base_mu_centres_the_critical_fixed_point():
@@ -203,12 +193,11 @@ def test_window_base_mu_centres_the_critical_fixed_point():
         mu0 = window_base_mu(sp, cf, n, phi)
         cfg = ReturnMapConfig(sp, replace(cf, mu=mu0), n, phi)
         T = ReturnMap(cfg)
-        rn = rot(n * phi)
-        xc = np.linalg.solve(np.eye(2) - sp.lam**n * (cf.A @ rn), cf.x_plus)
-        out = T(xc[0], xc[1], cfg.sigma_center)
-        assert abs(out[0] - xc[0]) < 1e-12
-        assert abs(out[1] - xc[1]) < 1e-12
-        assert abs(out[2] - cfg.sigma_center) < 1e-12
+        xc = np.linalg.solve(np.eye(2) - sp.lam**n * (cf.A @ _rot(n * phi)), cf.x_plus)
+        X, w = T.step(xc, T.gn * cfg.sigma_center - cf.y_minus)
+        assert abs(X[0] - xc[0]) < 1e-12
+        assert abs(X[1] - xc[1]) < 1e-12
+        assert abs(w) < 1e-12  # the slice centre
 
 
 def test_window_invert_round_trip():
@@ -331,7 +320,7 @@ def test_fit_triples_matches_an_lstsq_reference(monkeypatch):
 
     def capture(u0, u1, u2):
         fit = fit_triples(u0, u1, u2)
-        seen.append(((u0, u1, u2), fit[:3]))
+        seen.append(((u0, u1, u2), (fit.M, fit.B, fit.R)))
         return fit
 
     monkeypatch.setattr(tangency_lab, "_fit_triples", capture)
@@ -360,21 +349,18 @@ def test_mounted_window_fit_lands_near_target():
 
 def test_mounted_window_carries_long_orbits():
     # target with an attracting fixed point: the T_n orbit must stay inside
-    # sigma_n for >= 1000 returns without tripping the domain check
+    # sigma_n (|w| <= h) on each of 1000 returns
     sp = DEFAULT_SPECTRUM
     cfg = mount_window(sp, DEFAULT_COEFFS, 8, (0.0, 0.5))
     T = ReturnMap(cfg)
-    rn = rot(cfg.n * cfg.phi)
-    xc = np.linalg.solve(
-        np.eye(2) - sp.lam**cfg.n * (cfg.coeffs.A @ rn), np.asarray(cfg.coeffs.x_plus)
-    )
+    X = np.linalg.solve(np.eye(2) - sp.lam**cfg.n * (cfg.coeffs.A @ _rot(cfg.n * cfg.phi)),
+                        cfg.coeffs.x_plus)
     # offset the seed in rescaled units: u = -d gamma^n w, and the focus at
     # u = 0 only owns an O(1) basin there
-    w0 = 0.1 / (cfg.coeffs.d * sp.gamma**cfg.n)
-    s = (float(xc[0]), float(xc[1]), cfg.sigma_center + w0 * sp.gamma**-cfg.n)
+    w = 0.1 / (cfg.coeffs.d * sp.gamma**cfg.n)
     for _ in range(1000):
-        s = T(*s)
-    assert T.in_sigma(s[2])
+        X, w = T.step(X, w)
+        assert abs(w) <= SIGMA_HALF_HEIGHT
 
 
 def test_fit_ghm_error_paths():
@@ -509,13 +495,6 @@ def test_window_base_mu_over_a_phi_array_is_its_scalar_calls():
             assert mu0.shape == phis.shape
             for phi, m in zip(phis, mu0):
                 assert window_base_mu(DEFAULT_SPECTRUM, cf, n, float(phi)) == m
-
-
-def test_birth_m_is_the_circle_birth_curve():
-    for R in (-0.5, -0.05, 0.1, 0.4, 1.5):
-        for omega in np.linspace(0.1, math.pi - 0.1, 9):
-            M, B = curve_L_phi(float(omega), R)
-            assert abs(tangency_lab._birth_m(B, R) - M) < 1e-12
 
 
 def test_coexistence_search_smoke():
