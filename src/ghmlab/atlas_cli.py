@@ -16,6 +16,7 @@ import argparse
 import configparser
 import functools
 import math
+import re
 import sys
 from typing import get_type_hints
 
@@ -45,6 +46,8 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_INVALID = 3
 
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
 
 class CliError(Exception):
     """Carries the exit code for a user-facing failure."""
@@ -55,6 +58,14 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a value such as '-1e-3' or '-inf' as a flag unless
+        # it looks like a negative number: let every negative decimal,
+        # exponent form, inf and nan look like one, in the subparsers too
+        # (this class builds them), so '--B -1e-3' is '--B=-1e-3'
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits 2 on usage errors; the exit-code contract wants 3
     def error(self, message):
         raise CliError(EXIT_INVALID, message)

@@ -20,7 +20,12 @@ a normal double has no exponents: a superstable orbit annihilates its
 tangent vector, and a product can under- or overflow. At one cell, where
 numpy's per-call cost dominates, the map steps and the renormalizations
 run the batch's floating-point operations on Python floats, over records
-of many windows whose block products the batch's code forms.
+of many windows whose block products the batch's code forms. A batch of
+tens of cells is bound by the same per-call cost, so it issues fewer,
+same-shape calls: two rows of B*x, M - B*x and R*x per call (_window),
+stacked rows of the running Jacobian product (_block_products), and a
+stacked image of the tangent vector per block; each keeps every
+operation and its operand order, so the bits are the per-step ones.
 """
 
 from __future__ import annotations
@@ -323,7 +328,15 @@ def _window(x, y, M, B, R, w):
     row j + 1 the y after j steps, so the state after step j is rows (j, j + 1).
     Every map step of the module is taken here, in the operand order
     M - B*x - y*y - (R*x)*y: in place over a batch, or on Python floats for
-    one cell, which gives the same bits."""
+    one cell, which gives the same bits.
+
+    A batch is bound by numpy's cost per call, so its steps go in pairs:
+    the xs of steps k and k + 1 are rows k and k + 1, known before either
+    step, so one call forms B*x for both (into their output rows), one
+    M - B*x and one R*x, all against (2, n) copies of M, B and R (a Python
+    float operand costs more per call than an array). Each step then makes
+    its own y*y and (R*x)*y calls: 5.5 calls a step, not 7. An odd w's last
+    pair holds one row."""
     shape = (w + 2,) + np.shape(x)
     if np.size(x) == 1:
         def steps(x, y, M, B, R):
@@ -337,16 +350,28 @@ def _window(x, y, M, B, R, w):
         return np.fromiter(steps(*cell), float, w + 2).reshape(shape)
     Y = np.empty(shape)
     Y[0], Y[1] = x, y
+    mul, sub = np.multiply, np.subtract
+    two = (2,) + np.shape(x)
+    pair = np.empty((4,) + two)  # M, B, R and the pair's R*x
+    pair[0], pair[1], pair[2] = M, B, R
     T = np.empty(np.shape(x))
+    P, odd = divmod(w, 2)
+    # every view the loop takes, made once: a pair's operands, its xs and
+    # output rows, and each step's (y, output row, R*x row)
     rows = list(Y)
-    for xk, yk, nxt in zip(rows, rows[1:], rows[2:]):
-        np.multiply(B, xk, nxt)
-        np.subtract(M, nxt, nxt)
-        np.multiply(yk, yk, T)
-        np.subtract(nxt, T, nxt)
-        np.multiply(R, xk, T)
-        np.multiply(T, yk, T)
-        np.subtract(nxt, T, nxt)
+    pairs = list(Y[: 2 * P + 2].reshape((P + 1,) + two))
+    steps = list(zip(rows[1:], rows[2:], list(pair[3]) * (P + 1)))
+    ops = [tuple(pair)] * P + [tuple(pair[:, :1])] * odd
+    ends = list(zip(pairs, pairs[1:])) + [(Y[w - 1 : w], Y[w + 1 :])] * odd
+    for (MM, BB, RR, RX), (xk, nxt), k in zip(ops, ends, range(0, w, 2)):
+        mul(BB, xk, nxt)
+        sub(MM, nxt, nxt)
+        mul(RR, xk, RX)
+        for yk, zk, rx in steps[k : k + 2]:
+            mul(yk, yk, T)
+            sub(zk, T, zk)
+            mul(rx, yk, rx)
+            sub(zk, rx, zk)
     return Y
 
 
@@ -366,14 +391,20 @@ def _block_products(a, d):
     """Entries (p, q, r, t) of J_k-1 ... J_0 for J_j = [[0, 1], [-d_j, a_j]].
 
     a and d are (blocks, k, n): j runs along axis 1, and every block and
-    cell is multiplied at once. Row 1 of a product is row 2 of the one before.
+    cell is multiplied at once. Row 1 of a product is row 2 of the one before,
+    and row 2 is a_j * row 2 - d_j * row 1, so the rows (p, q) and (r, t)
+    are stacked (2, blocks, n) buffers: three in-place calls a Jacobian.
     """
     a, d = a.transpose(1, 0, 2).copy(), d.transpose(1, 0, 2).copy()  # step j's rows contiguous
-    shape = a.shape[1:]
-    p, q, r, t = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    mul, sub = np.multiply, np.subtract
+    row1, row2, spare = np.empty((3, 2) + a.shape[1:])
+    row1[0], row1[1], row2[0], row2[1] = 1.0, 0.0, 0.0, 1.0
     for aj, dj in zip(a, d):
-        p, q, r, t = r, t, aj * r - dj * p, aj * t - dj * q
-    return p, q, r, t
+        mul(aj, row2, spare)
+        mul(dj, row1, row1)
+        sub(spare, row1, spare)
+        row1, row2, spare = row2, spare, row1
+    return (*row1, *row2)
 
 
 def _lyapunov_windows(x, y, M, B, R, span, rad):
@@ -399,8 +430,7 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     out = [np.full(n, np.nan) for _ in range(4)]
     esc = np.zeros(n, dtype=np.int64)
     live = np.arange(n)
-    v1 = np.full(n, _INV_SQRT2)
-    v2 = np.full(n, _INV_SQRT2)
+    tan = np.full((2, n), _INV_SQRT2)  # the tangent vector (v1, v2)
     esum = np.zeros(n)  # whole powers of two taken out of the tangent vector
     sdet = np.zeros(n)
     frexp, ldexp = math.frexp, math.ldexp
@@ -427,7 +457,7 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
             tail = _block_products(aw[nb * K :].reshape(1, rem, m), dw[nb * K :].reshape(1, rem, m))
             prods = [np.concatenate(v) for v in zip(prods, tail)]
         if m == 1:  # numpy's per-call cost would dominate one cell's loop
-            c1, c2, es = float(v1[0]), float(v2[0]), float(esum[0])
+            (c1, c2), es = tan[:, 0].tolist(), float(esum[0])
             for p, q, r, t in zip(*(v[:, 0].tolist() for v in prods)):
                 w1 = p * c1 + q * c2
                 w2 = r * c1 + t * c2
@@ -438,16 +468,29 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
                 e = frexp(mx)[1]
                 es += e
                 c1, c2 = ldexp(w1, -e), ldexp(w2, -e)
-            v1, v2, esum = np.array([c1]), np.array([c2]), np.array([es])
+            tan, esum = np.array([[c1], [c2]]), np.array([es])
         else:
             N = np.empty((nb + (rem > 0), m))  # max |w| of each block's image
             E = np.empty(N.shape, dtype=np.intc)
-            for b, (p, q, r, t) in enumerate(zip(*prods)):
-                w1 = p * v1 + q * v2
-                w2 = r * v1 + t * v2
-                mx = np.maximum(np.abs(w1), np.abs(w2), out=N[b])
-                e = np.negative(np.frexp(mx)[1], out=E[b])
-                v1, v2 = np.ldexp(w1, e), np.ldexp(w2, e)
+            # (v1, v2) is held twice, so one same-shape call forms (p v1, q v2,
+            # r v1, t v2) from a block's stacked (p, q, r, t): a broadcast
+            # operand costs about twice a same-shape one. 9 calls, not 13
+            vv = np.concatenate((tan, tan))
+            tan, again = vv[:2], vv[2:]  # tan is rescaled in place
+            pv = np.empty((4, m))
+            pv1, qv2, rv1, tv2 = pv
+            img, mag = np.empty((2, 2, m))
+            w1, w2 = img
+            u1, u2 = mag
+            for pqrt, mx, e in zip(np.stack(prods, axis=1), N, E):
+                np.multiply(pqrt, vv, pv)
+                np.add(pv1, qv2, w1)
+                np.add(rv1, tv2, w2)
+                np.abs(img, out=mag)
+                np.maximum(u1, u2, out=mx)
+                np.negative(np.frexp(mx)[1], out=e)
+                np.ldexp(img, e, tan)
+                np.copyto(again, tan)
             esum = np.where(((N >= _TINY) & (N <= _HUGE)).all(axis=0), esum - E.sum(axis=0), np.nan)
         # log|det| goes to a's spent buffer one row per cell, so every cell
         # gets the pairwise sum of its own row in each window whatever the batch
@@ -461,10 +504,10 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         if gone.any():
             esc[live[gone]] = s + at
             keep = ~gone
-            live, x, y, M, B, v1, v2, esum, sdet = (
-                v[keep] for v in (live, x, y, M, B, v1, v2, esum, sdet))
+            live, x, y, M, B, esum, sdet = (v[keep] for v in (live, x, y, M, B, esum, sdet))
+            tan = tan[:, keep]
         s += w
-    slog = esum * _LN2 + np.log(np.hypot(v1, v2))
+    slog = esum * _LN2 + np.log(np.hypot(*tan))
     for o, v in zip(out, (slog, sdet, x, y)):
         o[live] = v
     return (*out, esc)
@@ -506,9 +549,12 @@ def _burn_in(live, x, y, M, B, R, steps, rad, escape_step):
         w = min(w_max, steps - s)
         Y = _window(x, y, M, B, R, w)
         gone, at = _exits(Y, rad)
-        escape_step[live[gone]] = s + at
-        keep = ~gone
-        live, x, y, M, B = live[keep], Y[w, keep], Y[w + 1, keep], M[keep], B[keep]
+        if gone.any():
+            escape_step[live[gone]] = s + at
+            keep = ~gone
+            live, x, y, M, B = live[keep], Y[w, keep], Y[w + 1, keep], M[keep], B[keep]
+        else:
+            x, y = Y[w:].copy()
         del Y  # before the next window's record is allocated
         if not live.size:
             break

@@ -447,6 +447,42 @@ def test_usage_errors_exit_3(capsys):
     assert run(capsys, "rescale", "--n", "8,0")[0] == 3
 
 
+# a valid, quick call of each command, in the '=' form, that a negative value
+# of any one of its float flags leaves valid or refuses on its own terms
+_NEGATIVE_BASE = {"classify": ["--M=0.5", "--B=0.3", "--span=1000"],
+                  "sweep": ["--m-min=-2", "--m-max=1", "--b-min=-2", "--b-max=1", "--nx=2",
+                            "--ny=2"],
+                  "curves": ["--samples=5"], "window": ["--target-m=1", "--target-b=0.5"],
+                  "rescale": ["--n=8"], "coexist": []}
+
+
+def test_negative_floats_in_exponent_form_parse_as_values(capsys):
+    # argparse takes '-1e-05' after a flag for a flag unless told otherwise;
+    # every float flag of every command must read it as '--flag=-1e-05' does,
+    # and -inf and -nan must reach the library's own checks and exit 3
+    flags = [(cmd, flag) for cmd, (_, _, rows) in atlas_cli._COMMANDS.items()
+             for flag, typ, *_ in rows if typ is float]
+    assert {cmd for cmd, _ in flags} == set(_NEGATIVE_BASE)
+    ran = set()
+    for cmd, flag in flags:
+        for value in ("-1e-05", "-5E-2", "-1.5e+00", "-inf", "-nan"):
+            base = _NEGATIVE_BASE[cmd]
+            spaced = run(capsys, cmd, *base, flag, value)
+            assert spaced == run(capsys, cmd, *base, f"{flag}={value}"), (cmd, flag, value)
+            assert "expected one argument" not in spaced[2], (cmd, flag, value)
+            if value in ("-inf", "-nan"):
+                assert spaced[0] == 3, (cmd, flag, value)
+            ran.add(spaced[0])
+    assert ran == {0, 3}
+    code, _, err = run(capsys, "classify", "--M", "0.5", "--B", "-inf")
+    assert code == 3 and "parameter B must be finite" in err
+    code, _, err = run(capsys, "sweep", *_NEGATIVE_BASE["sweep"], "--R", "-nan")
+    assert code == 3 and "must be finite" in err
+    # flag and value as two arguments print the bytes of the '=' form
+    assert run(capsys, "classify", "--M", "0.5", "--B", "-1e-3") == \
+        run(capsys, "classify", "--M=0.5", "--B=-1e-3")
+
+
 def test_phi0_flag_and_config_key_are_gone(tmp_path, capsys):
     for cmd in ("window", "rescale", "coexist"):
         code, _, err = run(capsys, cmd, "--phi0", "0.5", "--target-m", "1", "--target-b", "0.5")

@@ -683,6 +683,52 @@ def test_sweep_kernel_drops_exponents_it_cannot_resolve():
     assert [c.lyapunov is None for c in cells] == [False, True, False, True]
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 512, 513])
+@pytest.mark.parametrize("R", [0.0, 0.1, -0.05])
+@pytest.mark.parametrize("scalar", [False, True])
+def test_batch_window_is_the_step_loop_bit_for_bit(w, R, scalar):
+    # the batch steps in pairs of rows; each row must be the textbook step
+    # M - B*x - y*y - (R*x)*y of the row before, odd w, scalar M and B, and
+    # columns that overflow to inf and then nan mid-record included
+    rng = np.random.default_rng(w)
+    n = 9
+    x, y = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)
+    x[0], y[0] = 1.0e100, 2.0e160  # y*y overflows in step 1; nan from step 3 on
+    if scalar:
+        M, B = 1.4, -0.3
+    else:
+        M, B = rng.uniform(-0.5, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    with np.errstate(all="ignore"):
+        Y = attractor_classifier._window(x, y, M, B, R, w)
+        rows = [x, y]
+        for _ in range(w):
+            xk, yk = rows[-2], rows[-1]
+            rows.append(M - B * xk - yk * yk - (R * xk) * yk)
+    assert Y.shape == (w + 2, n)
+    assert Y.tobytes() == np.array(rows).tobytes()
+    if w >= 3:
+        assert Y[2, 0] == -math.inf and np.isnan(Y[4:, 0]).all()
+
+
+@pytest.mark.parametrize("blocks, k", [(3, 16), (1, 5), (1, 1)])
+def test_block_products_are_the_2x2_product_loop(blocks, k):
+    # (p, q, r, t) of J_k-1 ... J_0, J_j = [[0, 1], [-d_j, a_j]], per block
+    # and cell, against a plain loop on Python floats; (1, 5) and (1, 1) are
+    # the short last block of a span
+    rng = np.random.default_rng(blocks * 100 + k)
+    n = 4
+    a, d = rng.uniform(-3.0, 3.0, (blocks, k, n)), rng.uniform(-1.0, 1.0, (blocks, k, n))
+    got = attractor_classifier._block_products(a, d)
+    assert len(got) == 4 and all(v.shape == (blocks, n) for v in got)
+    for b in range(blocks):
+        for c in range(n):
+            p, q, r, t = 1.0, 0.0, 0.0, 1.0
+            for j in range(k):
+                aj, dj = float(a[b, j, c]), float(d[b, j, c])
+                p, q, r, t = r, t, aj * r - dj * p, aj * t - dj * q
+            assert [float(v[b, c]) for v in got] == [p, q, r, t], (b, c)
+
+
 def test_one_cell_lyapunov_kernel_is_its_batch_column():
     # one cell is recorded up to 32 windows at a time and renormalized on
     # Python floats; a batch of 17 or more cells records one window at a
