@@ -5,6 +5,11 @@ as M passes the curve; the radius grows like sqrt(M - M_birth) and the
 rotation number starts at omega / 2pi = 1/6. The mirrored cross term
 R = -0.1 flips the cubic coefficient sign: no stable circle there.
 
+The residual/radius column is the circle test's invariance residual: the
+largest distance from a vertex's image to the 1024-bin polygon, over the
+mean radius. It reads about 2.6e-5 here, far under the 1e-3 bar, and is
+mostly the polygon's own chord error (it read about 4e-4 at 256 bins).
+
 The sinks printed at dM = -0.01 (R = 0.1) and dM = +0.01 (R = -0.1) have
 multipliers of modulus about 0.9995. With the default options classify
 reports them undecided, with both exponents negative: the period scan after

@@ -68,12 +68,11 @@ class ClassifyOptions:
     period_tol: float = 1e-8
     escape_radius: float = 1.0e6
     circle_points: int = 8192
-    circle_bins: int = 256
 
     def __post_init__(self):
         if self.span < 1000:
             raise ValueError("span must be >= 1000 for a meaningful average")
-        if self.burn_in < 0 or min(self.max_period, self.circle_points, self.circle_bins) < 1:
+        if self.burn_in < 0 or min(self.max_period, self.circle_points) < 1:
             raise ValueError("burn_in must be >= 0 and the other counts >= 1")
         if max(self.span, self.burn_in) > MAX_STEPS:
             raise ValueError(f"span and burn_in must be at most {MAX_STEPS} steps")
@@ -95,10 +94,9 @@ class CircleReport:
     center: tuple[float, float]
     mean_radius: float
     radial_deviation: float
-    rotation_number: float
+    rotation_number: float | None
     invariance_residual: float | None
     vertices: np.ndarray = field(compare=False, repr=False, default=None)
-    map_power: int = 1
 
 
 @dataclass(frozen=True)
@@ -146,58 +144,55 @@ def detect_period(Y, max_period: int, tol: float) -> np.ndarray:
     return per
 
 
-_POLYGON_ROWS = 128  # points per pass of _dist_to_polygon: two (128, k) buffers
+CIRCLE_BINS = 1024  # angular bins of the circle fit's polygon
 
 
-def _dist_to_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polygon through verts.
+def _dist_to_polygon(points: np.ndarray, verts: np.ndarray, center) -> np.ndarray:
+    """Distance from each point to the closed polygon through verts, a
+    polygon star-shaped about center with its vertices in angle order.
 
+    A point's angle about center names the edge it faces (one searchsorted
+    on the vertex angles); that edge and its two neighbours are measured.
     Per point and edge (a, a + b): t = clip(((p - a).b) / |b|^2, 0, 1) and
     e = p - (a + t b); sqrt, monotone and correctly rounded, follows the min
-    of |e|^2. Rows of _POLYGON_ROWS points at a time run through two reused
-    (rows, k) buffers; t*b + a rounds as a + t*b does, so the bits are the
-    (m, k) array formula's.
+    of |e|^2.
     """
     ax, ay = verts[:, 0], verts[:, 1]
     bx, by = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
     denom = bx * bx + by * by
     denom[denom == 0.0] = 1.0
-    d2 = np.empty(len(points))
-    buf = np.empty((2, min(len(points), _POLYGON_ROWS), len(verts)))
-    for lo in range(0, len(points), _POLYGON_ROWS):
-        px, py = points[lo:lo + _POLYGON_ROWS, :1], points[lo:lo + _POLYGON_ROWS, 1:]
-        u, v = buf[0, :len(px)], buf[1, :len(px)]
-        np.subtract(px, ax, out=u)
-        u *= bx
-        np.subtract(py, ay, out=v)
-        v *= by
-        u += v
-        u /= denom
-        t = np.clip(u, 0.0, 1.0, out=u)
-        np.multiply(t, bx, out=v)
-        v += ax
-        np.subtract(px, v, out=v)  # ex
-        v *= v
-        t *= by
-        t += ay
-        np.subtract(py, t, out=t)  # ey
-        t *= t
-        v += t
-        v.min(axis=1, out=d2[lo:lo + _POLYGON_ROWS])
-    return np.sqrt(d2)
+    edge = np.searchsorted(np.arctan2(ay - center[1], ax - center[0]),
+                           np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0]))
+    e = (edge[:, None] + np.arange(-2, 1)) % len(verts)  # edge - 1 faces the point
+    px, py = points[:, :1], points[:, 1:]
+    t = np.clip(((px - ax[e]) * bx[e] + (py - ay[e]) * by[e]) / denom[e], 0.0, 1.0)
+    ex = px - (ax[e] + t * bx[e])
+    ey = py - (ay[e] + t * by[e])
+    return np.sqrt((ex * ex + ey * ey).min(axis=1))
 
 
-def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int = 1,
-                         bins: int = 256) -> CircleReport:
+def _rotation_number(rel: np.ndarray) -> float | None:
+    """Mean angular increment per step of an orbit given relative to a
+    centre, in turns, in [0, 0.5]; None where the increments change sign."""
+    dth = np.diff(np.arctan2(rel[:, 1], rel[:, 0]))
+    dth = (dth + math.pi) % (2.0 * math.pi) - math.pi
+    if dth.min() < 0.0 < dth.max():
+        return None
+    return float(abs(dth.mean()) / (2.0 * math.pi))
+
+
+def fit_invariant_circle(orbit_tail, p: GhmParams | None = None,
+                         map_power: int = 1) -> CircleReport:
     """Fit a closed polygonal curve to a bounded non-periodic tail.
 
-    Points are sorted by angle about their centroid and averaged in angular
-    bins; the polygon through the bin means is the curve estimate. Angular
-    gaps beyond GAP_LIMIT_DEG raise NotACircleError. When p is given, the
-    invariance residual is the largest distance from the map image of a
-    polygon vertex (map applied map_power times) back to the polygon.
-    The rotation number is the mean wrapped angular increment per time step,
-    folded into (0, 0.5).
+    Points are sorted by angle about their centroid and averaged in
+    CIRCLE_BINS angular bins; the polygon through the bin means, star-shaped
+    about the centroid, is the curve estimate. Angular gaps beyond
+    GAP_LIMIT_DEG raise NotACircleError. When p is given, the invariance
+    residual is the largest distance from the map image of a polygon vertex
+    (map applied map_power times) back to the polygon. The rotation number
+    is the mean wrapped angular increment per time step, in [0, 0.5]; None
+    where the increments change sign.
     """
     pts = np.asarray(orbit_tail, float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -210,12 +205,11 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int 
     rad = np.hypot(rel[:, 0], rel[:, 1])
 
     srt = np.sort(ang)
-    gaps = np.diff(srt)
-    wrap_gap = srt[0] + 2.0 * math.pi - srt[-1]
-    max_gap = max(gaps.max() if len(gaps) else 2 * math.pi, wrap_gap)
+    max_gap = max(np.diff(srt).max(), srt[0] + 2.0 * math.pi - srt[-1])
     if max_gap > math.radians(GAP_LIMIT_DEG):
         raise NotACircleError(f"angular gap {math.degrees(max_gap):.2f} deg exceeds limit")
 
+    bins = CIRCLE_BINS
     idx = np.minimum((bins * (ang + math.pi) / (2.0 * math.pi)).astype(int), bins - 1)
     counts = np.bincount(idx, minlength=bins)
     sx = np.bincount(idx, weights=pts[:, 0], minlength=bins)
@@ -223,25 +217,18 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None, map_power: int 
     nonempty = counts > 0
     verts = np.column_stack([sx[nonempty] / counts[nonempty], sy[nonempty] / counts[nonempty]])
 
-    dth = np.diff(ang)
-    dth = (dth + math.pi) % (2.0 * math.pi) - math.pi
-    rho = abs(dth.mean()) / (2.0 * math.pi)
-    if rho > 0.5:
-        rho = 1.0 - rho
-
     residual = None
     if p is not None:
         Y = _window(verts[:, 0], verts[:, 1], p.M, p.B, p.R, map_power)
-        residual = float(_dist_to_polygon(np.column_stack((Y[-2], Y[-1])), verts).max())
+        residual = float(_dist_to_polygon(np.column_stack((Y[-2], Y[-1])), verts, center).max())
 
     return CircleReport(
         center=(float(center[0]), float(center[1])),
         mean_radius=float(rad.mean()),
         radial_deviation=float(rad.std()),
-        rotation_number=float(rho),
+        rotation_number=_rotation_number(rel),
         invariance_residual=residual,
         vertices=verts,
-        map_power=map_power,
     )
 
 
@@ -270,7 +257,10 @@ def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov
     """Circle or undecided verdict for a circle candidate's orbit tail.
 
     The map and its second and third powers are tried in turn: a
-    flip-symmetric pair of loops needs decimation before the fit.
+    flip-symmetric pair of loops needs decimation before the fit. The
+    rotation number is the map's own, read off the undecimated tail about
+    the passing fit's centre: None where its increments change sign, as a
+    pair of loops does.
     """
     fails = {}
     for q in (1, 2, 3):
@@ -278,7 +268,7 @@ def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov
         if len(sub) < 2000:
             continue
         try:
-            rep = fit_invariant_circle(sub, p=p, map_power=q, bins=opts.circle_bins)
+            rep = fit_invariant_circle(sub, p=p, map_power=q)
         except NotACircleError as err:
             fails[q] = str(err)
             continue
@@ -286,7 +276,8 @@ def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov
             return AttractorClass(
                 "circle",
                 lyapunov=lyapunov,
-                rotation_number=rep.rotation_number,
+                rotation_number=rep.rotation_number if q == 1 else
+                _rotation_number(tail[-opts.circle_points :] - rep.center),
                 evidence={
                     "invariance_residual": rep.invariance_residual,
                     "mean_radius": rep.mean_radius,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attractor_classifier import AttractorClass, ClassifyOptions, _window, classify
+from .attractor_classifier import AttractorClass, _window, classify
 from .bifurcation_atlas import in_stability_domain, lphi_band, lphi_m
 from .ghm_core import GhmParams
 
@@ -35,8 +35,8 @@ SIGMA_HALF_HEIGHT = 0.25  # half-height h of the exit box in raw y
 # than this, relative (about half the digits of a double)
 ROUND_TRIP_TOL = 1e-8
 MAX_PHI_STEPS = 10**7  # CoexistenceBox refuses a finer phi scan
-# coexistence_search prefilters the phi grid this many points at a time, so
-# its ~20 elementwise work arrays hold 64 KB each whatever phi_steps is
+# coexistence_search forms and prefilters the phi grid this many points at a
+# time: the chunk and its ~20 elementwise work arrays hold 64 KB each
 _PHI_CHUNK = 8192
 U_ESCAPE = 50.0  # rescaled-coordinate escape bound for fit orbits
 FIT_RETURNS = 64  # returns of each fit_ghm seed orbit
@@ -632,6 +632,19 @@ class CoexistenceHit:
     evidence: dict = field(default_factory=dict, compare=False)
 
 
+def _phi_chunks(box: CoexistenceBox):
+    """np.linspace(box.phi_lo, box.phi_hi, box.phi_steps) in _PHI_CHUNK-point
+    slices, bit for bit: point i is i * step + phi_lo as linspace forms it
+    (zero step and single point included), and the last is phi_hi."""
+    n = box.phi_steps
+    step = (box.phi_hi - box.phi_lo) / max(n - 1, 1)
+    for lo in range(0, n, _PHI_CHUNK):
+        chunk = np.arange(lo, min(lo + _PHI_CHUNK, n), dtype=float) * step + box.phi_lo
+        if n > 1 and lo + len(chunk) == n:
+            chunk[-1] = box.phi_hi
+        yield chunk
+
+
 def _orbit_tail(config: ReturnMapConfig, returns: int, keep: int) -> np.ndarray | None:
     """Last `keep` u-values of one T_n orbit seeded on the manifold at u = 0,
     or None when it leaves sigma_n or the rescaled window within `returns`."""
@@ -668,12 +681,12 @@ def coexistence_search(
     coefficients give the two effective (M, B) pairs sharing the single mu.
     mu is pinned by placing the n_circle window just past the circle-birth
     curve; phi survives only if the n_sink window then lands inside the
-    stability domain. The prefilter runs over the phi grid in chunks of
-    _PHI_CHUNK points and keeps only each chunk's survivors, so beyond the
-    grid itself its memory does not grow with phi_steps. The probe loop then
-    iterates the survivors in scan order, verifying each by fitting both
-    return maps and classifying the fitted planar maps, plus direct orbit
-    checks on T_n. The first fully verified probe wins (deterministic).
+    stability domain. The prefilter forms the phi grid in chunks of
+    _PHI_CHUNK points and keeps only each chunk's survivors, so its memory
+    does not grow with phi_steps. The probe loop then iterates the survivors
+    in scan order, verifying each by fitting both return maps and
+    classifying the fitted planar maps at classify's defaults, plus direct
+    orbit checks on T_n. The first fully verified probe wins (deterministic).
     """
     if n_sink == n_circle:
         raise ValueError("n_sink and n_circle must differ")
@@ -686,8 +699,6 @@ def coexistence_search(
     lg = sp.lam * sp.gamma
     ns, nc = n_sink, n_circle
 
-    phis = np.linspace(box.phi_lo, box.phi_hi, box.phi_steps)
-
     def window_terms(n, phi):  # B = -(lam gamma)^n c.Rot(n phi).b and mu0_n, from one _x_recursion
         try:
             amp = lg**n
@@ -699,8 +710,7 @@ def coexistence_search(
     # each chunk keeps only its survivors' columns, in scan order; every
     # step is elementwise, so a survivor's bits do not depend on its chunk
     survivors = [np.empty((0, 8))]
-    for lo in range(0, len(phis), _PHI_CHUNK):
-        chunk = phis[lo:lo + _PHI_CHUNK]
+    for chunk in _phi_chunks(box):
         (B_s, mu0_s), (B_c, mu0_c) = window_terms(ns, chunk), window_terms(nc, chunk)
         R_s, R_c = _window_r(sp, j1, ns, B_s), _window_r(sp, j1, nc, B_c)
 
@@ -727,9 +737,6 @@ def coexistence_search(
         survivors.append(np.stack(
             [a[ok] for a in (chunk, mu_cand, M_s, B_s, M_c, B_c, R_c, R_s)], axis=1))
 
-    # weak-NS circles: transversal contraction is ~ -1e-3 per iterate and the
-    # curve is visibly deformed, so the verdicts get a slow burn and fine bins
-    vopts = ClassifyOptions(burn_in=60_000, circle_points=16384, circle_bins=512)
     for row in np.concatenate(survivors):
         phi, mu_i, M_sink, B_sink, M_circle, B_circle, R_circle, R_sink = row.tolist()
         rec = {
@@ -765,8 +772,8 @@ def coexistence_search(
                 continue
             cfg_s = ReturnMapConfig(sp, replace(cf, mu=mu_i), ns, phi)
             fit_s = fit_ghm(cfg_s)
-            verdict_s = classify(fit_s.as_ghm(), vopts)
-            verdict_c = classify(fit_c.as_ghm(), vopts)
+            verdict_s = classify(fit_s.as_ghm())
+            verdict_c = classify(fit_c.as_ghm())
             rec["verdict_sink"] = verdict_s.verdict
             rec["verdict_circle"] = verdict_c.verdict
             if verdict_s.verdict != "sink" or verdict_c.verdict != "circle":

@@ -83,32 +83,56 @@ def test_detect_period_basics():
 
 
 def _reference_dist_to_polygon(points, verts):
-    # the (m, k, 2) formula _dist_to_polygon was first written as
+    # the (m, k, 2) formula _dist_to_polygon was first written as, with the
+    # min over the edges left to the caller: row i, column j is the distance
+    # from point i to edge j, from vertex j to vertex j + 1
     ab = np.roll(verts, -1, axis=0) - verts
     denom = (ab * ab).sum(axis=1)
     denom[denom == 0.0] = 1.0
     aq = points[:, None, :] - verts[None, :, :]
     t = np.clip((aq * ab[None, :, :]).sum(axis=2) / denom[None, :], 0.0, 1.0)
     proj = verts[None, :, :] + t[:, :, None] * ab[None, :, :]
-    return np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1)
+    return np.linalg.norm(points[:, None, :] - proj, axis=2)
 
 
 def test_dist_to_polygon_matches_its_array_formula_bitwise():
+    # on a polygon star-shaped about its centre, a point's distance is the
+    # array formula's min over the edge its angle faces and that edge's two
+    # neighbours, bit for bit; where the nearest of all edges is among them
+    # it is the full min, as it is for nearly every point near the polygon
     rng = np.random.default_rng(17)
+    full = faced = 0
 
     def check(m, k):
-        verts = rng.normal(size=(k, 2)) * rng.uniform(1e-3, 10.0)
-        verts[rng.random(k) < 0.2] = verts[0]  # zero-length edges
-        points = rng.normal(size=(m, 2))
-        got = attractor_classifier._dist_to_polygon(points, verts)
-        assert got.tobytes() == _reference_dist_to_polygon(points, verts).tobytes()
+        nonlocal full, faced
+        c = rng.normal(size=2)
+        th = np.sort(rng.uniform(-math.pi, math.pi, k))
+        wave = rng.uniform(0.0, 0.5) * np.sin(rng.integers(1, 4) * th + rng.uniform(0.0, 6.0))
+        r = np.exp(wave + rng.normal(scale=1.0 / k, size=k)) * rng.uniform(1e-3, 10.0)
+        verts = c + r[:, None] * np.column_stack((np.cos(th), np.sin(th)))
+        dup = np.flatnonzero(rng.random(k - 1) < 0.1)
+        verts[dup + 1] = verts[dup]  # zero-length edges
+        near = verts[rng.integers(0, k, m)] + rng.normal(size=(m, 2)) * 1e-3 * r.mean()
+        is_near = rng.random(m) < 0.8
+        points = np.where(is_near[:, None], near, c + rng.normal(size=(m, 2)) * r.mean())
+        got = attractor_classifier._dist_to_polygon(points, verts, c)
+        D = _reference_dist_to_polygon(points, verts)
+        va = np.arctan2(verts[:, 1] - c[1], verts[:, 0] - c[0])
+        pa = np.arctan2(points[:, 1] - c[1], points[:, 0] - c[0])
+        edges = (np.searchsorted(va, pa)[:, None] + np.arange(-2, 1)) % k
+        cand = np.take_along_axis(D, edges, axis=1).min(axis=1)
+        assert got.tobytes() == cand.tobytes()
+        hit = cand == D.min(axis=1)
+        full += int(hit[is_near].sum())
+        faced += int(is_near.sum())
+        assert (got[~hit] > D.min(axis=1)[~hit]).all()
 
     for _ in range(300):
-        check(*rng.integers(1, 40, size=2))
-    # across the row-slice boundaries, and at coexist's 512 bins
-    for m in (1, 127, 128, 129, 300, 512):
-        for k in (256, 512):
+        check(int(rng.integers(1, 40)), int(rng.integers(3, 40)))
+    for m in (1, 129, 1024):
+        for k in (3, 256, 1024):
             check(m, k)
+    assert full > 0.9 * faced
 
 
 def test_fit_circle_on_synthetic_ellipse():
@@ -137,6 +161,29 @@ def test_fit_circle_rejects_gappy_and_short_input():
         fit_invariant_circle(pts)
     with pytest.raises(ValueError):
         fit_invariant_circle(pts[:1999])
+
+
+def test_rotation_number_is_none_where_the_increments_change_sign():
+    # a flip-symmetric pair of loops: the orbit hops between two circles,
+    # turning by rho a step on each. About one loop's centre every other
+    # point lies on the far loop, so the increments change sign; the
+    # decimated orbit stays on one loop and turns by 2 rho a step
+    rho = (math.sqrt(5.0) - 2.0) / 2.0
+    k = np.arange(6000)
+    t = 2.0 * math.pi * rho * k
+    pts = np.column_stack([np.where(k % 2, -2.0, 2.0) + np.cos(t), np.sin(t)])
+    assert attractor_classifier._rotation_number(pts - (2.0, 0.0)) is None
+    rep = fit_invariant_circle(pts[::2])
+    assert abs(rep.rotation_number - 2.0 * rho) < 1e-6
+
+
+def test_circle_rotation_is_the_maps_own_at_map_power_three():
+    # this band cell passes the circle test only at map power 3; its
+    # undecimated tail turns one way by 0.15625 a step, and the cube's
+    # rotation, 3 * 0.15625 = 0.46875, is not what the map does
+    res = classify(GhmParams(-0.7553846153846154, 1.0520689655172415, 0.1))
+    assert (res.verdict, res.evidence["map_power"]) == ("circle", 3)
+    assert abs(res.rotation_number - 0.15625) < 1e-4
 
 
 def test_classify_fixed_point_sink_and_divergence():
@@ -266,10 +313,10 @@ def test_sweep_tail_chunking_changes_no_cell(monkeypatch, burn_in, rows_per_chun
 
 
 def test_sweep_chunking_changes_no_circle_cell(monkeypatch):
-    # a band past circle birth at R = 0.1, where five cells are circles
+    # a band past circle birth at R = 0.1, where eight cells are circles
     whole = _assert_chunking_changes_no_cell(monkeypatch, (-0.78, -0.70, 1.03, 1.07, 8, 6, 0.1),
                                              ClassifyOptions(span=20_000), 3, set(VERDICTS))
-    assert [c.verdict for c in whole.cells].count("circle") == 5
+    assert [c.verdict for c in whole.cells].count("circle") == 8
 
 
 def test_sweep_records_stay_under_the_byte_cap(monkeypatch):
@@ -295,9 +342,12 @@ def test_sweep_records_stay_under_the_byte_cap(monkeypatch):
     assert [c.evidence for c in capped.cells] == [c.evidence for c in whole.cells]
     assert (17, 120) in records
     assert {4 * opts.max_period + 2, 3 * opts.circle_points + 2} <= {r for r, _ in records}
-    # every record fits the cap or holds one cell; the circle fits' vertex
-    # images (at most 5 rows of at most 256 vertices) fit it too
-    assert all(r * c * 8 <= cap or c == 1 for r, c in records)
+    # every record fits the cap or holds one cell, but the circle fits'
+    # vertex images: at most 5 rows of at most CIRCLE_BINS vertices, whatever
+    # the number of cells
+    images = [(r, c) for r, c in records if r <= 5 and c > 1]
+    assert images and all(c <= attractor_classifier.CIRCLE_BINS for _, c in images)
+    assert all(r * c * 8 <= cap or c == 1 for r, c in records if (r, c) not in images)
 
 
 def test_sweep_grids_that_stop_before_the_lyapunov_phase():
@@ -372,7 +422,7 @@ def test_sweep_emits_no_runtime_warnings():
 
 def test_classify_options_validation():
     for kw in ({"span": 999}, {"burn_in": -1}, {"span": 10**8 + 1}, {"burn_in": 10**8 + 1},
-               {"max_period": 0}, {"circle_points": 0}, {"circle_bins": 0}, {"period_tol": 0.0},
+               {"max_period": 0}, {"circle_points": 0}, {"period_tol": 0.0},
                {"escape_radius": math.inf}):
         with pytest.raises(ValueError):
             ClassifyOptions(**kw)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from ghmlab import tangency_lab
+from ghmlab.attractor_classifier import classify
+from ghmlab.ghm_core import GhmParams
 from ghmlab.tangency_lab import (
     COEX_COEFFS,
     CoexistenceBox,
@@ -520,6 +522,36 @@ def test_coexistence_search_smoke():
             CoexistenceBox(phi_lo=lo, phi_hi=hi)
 
 
+def test_coexist_classifies_as_every_command(monkeypatch):
+    # coexistence_search passes classify no options, and classify at its
+    # defaults calls the default hit's circle window a circle, with the
+    # bits the hit carries
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(tangency_lab, "classify", spy)
+    hit = coexistence_search(DEFAULT_SPECTRUM, COEX_COEFFS, 10, 14)
+    assert calls and all(c == (1, {}) for c in calls)
+    p = hit.fit_circle.as_ghm()
+    assert p == GhmParams(0.9152828148684595, 0.9747767432640783, 0.06756142906628339)
+    res = classify(p)
+    assert res.verdict == "circle"
+    assert repr((res, res.evidence)) == repr((hit.verdict_circle, hit.verdict_circle.evidence))
+
+
+@pytest.mark.parametrize("lo, hi, steps", [
+    (0.05, math.pi - 0.05, n) for n in (1, 2, 8191, 8192, 8193, 160_000)
+] + [(1.25, 1.25, 1), (1.25, 1.25, 8193), (0.3, 0.3000000000000001, 10_000)])
+def test_phi_chunks_are_linspace_bit_for_bit(lo, hi, steps):
+    box = CoexistenceBox(phi_lo=lo, phi_hi=hi, phi_steps=steps)
+    chunks = list(tangency_lab._phi_chunks(box))
+    assert max(len(c) for c in chunks) <= tangency_lab._PHI_CHUNK
+    assert np.concatenate(chunks).tobytes() == np.linspace(lo, hi, steps).tobytes()
+
+
 @pytest.mark.parametrize("n_sink, n_circle, box, probes, found", [
     (10, 14, CoexistenceBox(), 20, True),
     (6, 7, CoexistenceBox(phi_steps=50_001, lphi_band_margin=1.0, b_circle_lo=0.9,
@@ -568,4 +600,4 @@ def test_coexistence_scan_memory_does_not_grow_with_phi_steps(monkeypatch):
     finally:
         tracemalloc.stop()
     assert hit is None and len(log) > 0
-    assert peak < 16 * 2**20  # the phi grid alone is 8 MB
+    assert peak < 4 * 2**20  # a whole phi grid alone would be 8 MB
