@@ -20,8 +20,6 @@ import re
 import sys
 from typing import get_type_hints
 
-import numpy as np
-
 from .ghm_core import GhmParams
 from .bifurcation_atlas import trace_curves
 from .attractor_classifier import ClassifyOptions, classify, sweep
@@ -214,8 +212,7 @@ def _sweep_svg(grid) -> str:
     def py(B):
         return H - pad - (B - grid.b_min) / bspan * (H - 2 * pad)
 
-    Ms = np.linspace(grid.m_min, grid.m_max, grid.nx)
-    Bs = np.linspace(grid.b_min, grid.b_max, grid.ny)
+    Ms, Bs = grid.axes
     cw = (W - 2 * pad) / grid.nx
     ch = (H - 2 * pad) / grid.ny
     parts = [
@@ -271,8 +268,7 @@ def _cmd_sweep(args) -> int:
     m_min, m_max, b_min, b_max, nx, ny, R = (
         o[k] for k in ("m_min", "m_max", "b_min", "b_max", "nx", "ny", "r"))
     grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=o["threads"])
-    Ms = np.linspace(m_min, m_max, nx)
-    Bs = np.linspace(b_min, b_max, ny)
+    Ms, Bs = grid.axes
     lines = ["M,B,R,class,period,lyap1,lyap2,rotation"]
     for j in range(ny):
         for i in range(nx):

@@ -31,11 +31,11 @@ operation and its operand order, so the bits are the per-step ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ghm_core import GhmParams, State2, eig2
+from .ghm_core import GhmParams, State2, eig2, fixed_point_roots, modulus, trace_det
 
 VERDICTS = ("sink", "circle", "chaotic", "divergent", "undecided")
 
@@ -96,7 +96,6 @@ class CircleReport:
     radial_deviation: float
     rotation_number: float | None
     invariance_residual: float | None
-    vertices: np.ndarray = field(compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,14 @@ class SweepGrid:
     R: float
     cells: tuple[AttractorClass, ...]  # row-major, index = ib * nx + im
 
+    @property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's M and B values, each range sampled inclusively."""
+        return np.linspace(self.m_min, self.m_max, self.nx), np.linspace(self.b_min, self.b_max, self.ny)
+
     def params_at(self, im: int, ib: int) -> GhmParams:
-        M = np.linspace(self.m_min, self.m_max, self.nx)[im]
-        B = np.linspace(self.b_min, self.b_max, self.ny)[ib]
-        return GhmParams(float(M), float(B), self.R)
+        Ms, Bs = self.axes
+        return GhmParams(float(Ms[im]), float(Bs[ib]), self.R)
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +231,11 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None,
         radial_deviation=float(rad.std()),
         rotation_number=_rotation_number(rel),
         invariance_residual=residual,
-        vertices=verts,
     )
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _verify_cycle(p: GhmParams, cycle: np.ndarray) -> tuple[bool, tuple[float, float]]:
-    """Check the detected k-cycle is linearly attracting; per-iterate exponents."""
-    k = len(cycle)
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    det = 1.0
-    for x, y in cycle:
-        j21 = -p.B - p.R * y
-        j22 = -2.0 * y - p.R * x
-        # left-multiply by [[0, 1], [j21, j22]]
-        m11, m12, m21, m22 = m21, m22, j21 * m11 + j22 * m21, j21 * m12 + j22 * m22
-        det *= p.B + p.R * y
-    e1, e2 = eig2(m11 + m22, det)
-    mods = sorted((abs(e1), abs(e2)), reverse=True)
-    lams = tuple((math.log(m) if m > 0.0 else -math.inf) / k for m in mods)
-    return mods[0] < 1.0, lams
 
 
 def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov) -> AttractorClass:
@@ -276,8 +261,7 @@ def _circle_test(tail: np.ndarray, p: GhmParams, opts: ClassifyOptions, lyapunov
             return AttractorClass(
                 "circle",
                 lyapunov=lyapunov,
-                rotation_number=rep.rotation_number if q == 1 else
-                _rotation_number(tail[-opts.circle_points :] - rep.center),
+                rotation_number=_rotation_number(tail[-opts.circle_points :] - rep.center),
                 evidence={
                     "invariance_residual": rep.invariance_residual,
                     "mean_radius": rep.mean_radius,
@@ -305,13 +289,6 @@ def _chunks(n, doubles):
     `doubles` doubles a cell, hold at most _CHUNK_BYTES (or one cell's)."""
     c = max(1, min(_CELLS, _CHUNK_BYTES // (8 * doubles)))
     return [slice(c0, c0 + c) for c0 in range(0, n, c)]
-
-
-def _largest_modulus(tr, det):
-    dm = tr * tr - 4.0 * det
-    real = dm >= 0.0
-    sq = np.sqrt(np.where(real, np.maximum(dm, 0.0), 0.0))
-    return np.where(real, 0.5 * (np.abs(tr) + sq), np.sqrt(np.maximum(det, 0.0)))
 
 
 def _window(x, y, M, B, R, w):
@@ -378,6 +355,17 @@ def _exits(Y, rad):
     return gone, np.maximum(inside[:, gone].argmin(axis=0), 1)
 
 
+def _jacobians(x, y, B, R, a=None, d=None):
+    """Entries a = -2y - R*x and d = R*y + B (det DT) of the Jacobians
+    [[0, 1], [-d, a]] at the states (x, y) of a record, into a and d if given."""
+    a = np.multiply(x, R, a)
+    d = np.multiply(y, -2.0, d)
+    np.subtract(d, a, a)
+    np.multiply(y, R, d)
+    np.add(d, B, d)
+    return a, d
+
+
 def _block_products(a, d):
     """Entries (p, q, r, t) of J_k-1 ... J_0 for J_j = [[0, 1], [-d_j, a_j]].
 
@@ -435,12 +423,7 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         w = min(L, span - s)
         Y = _window(x, y, M, B, R, w)  # x_j = Y[j], y_j = Y[j + 1]
         x, y = Y[w].copy(), Y[w + 1].copy()
-        dw, aw = det[:w], a[:w]
-        np.multiply(Y[:w], R, aw)
-        np.multiply(Y[1:-1], -2.0, dw)
-        np.subtract(dw, aw, aw)  # -2y - R x
-        np.multiply(Y[1:-1], R, dw)
-        np.add(dw, B, dw)
+        aw, dw = _jacobians(Y[:w], Y[1:-1], B, R, a[:w], det[:w])
         # records start on window boundaries, so no block straddles a window
         nb, rem = divmod(w, K)
         prods = _block_products(aw[: nb * K].reshape(nb, K, m), dw[: nb * K].reshape(nb, K, m))
@@ -506,21 +489,12 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
 
 def _seeds(M, B, R):
     """Start (x, y) of every cell: SEED_OFFSET off the attracting fixed
-    point if any, else off the fixed point of smallest |x|, else the origin."""
-    a = 1.0 + R
-    b1 = 1.0 + B
+    point if any, else off the fixed point of smallest |x|, else the origin.
+    The roots are unpolished: a seed starts 1e-3 off its fixed point anyway."""
+    x1, x2, disc = fixed_point_roots(M, B, R)
+    hasfp = 1.0 + B != 0.0 if disc is None else disc >= 0.0
     with np.errstate(all="ignore"):
-        if a != 0.0:
-            disc = b1 * b1 + 4.0 * a * M
-            hasfp = disc >= 0.0
-            sq = np.sqrt(np.where(hasfp, np.maximum(disc, 0.0), 0.0))
-            x1 = (-b1 + sq) / (2.0 * a)
-            x2 = (-b1 - sq) / (2.0 * a)
-        else:
-            hasfp = b1 != 0.0
-            x1 = x2 = np.where(hasfp, M / np.where(hasfp, b1, 1.0), 0.0)
-        att1 = _largest_modulus(-(2.0 + R) * x1, B + R * x1) < 1.0
-        att2 = _largest_modulus(-(2.0 + R) * x2, B + R * x2) < 1.0
+        att1, att2 = (modulus(eig2(*trace_det(x, B, R))[0]) < 1.0 for x in (x1, x2))
     xs = np.where(att1, x1, np.where(att2, x2, np.where(np.abs(x1) <= np.abs(x2), x1, x2)))
     dx, dy = SEED_OFFSET
     return np.where(hasfp, xs + dx, 0.0), np.where(hasfp, xs + dy, 0.0)
@@ -550,6 +524,19 @@ def _burn_in(live, x, y, M, B, R, steps, rad, escape_step):
         if not live.size:
             break
     return live, x, y, M, B
+
+
+def _cycle_exponents(Y, B, R):
+    """Sink check of the k-cycles (x_j, y_j) = (Y[j], Y[j + 1]) of the k + 1
+    record rows Y, one per column, from one _block_products call and the
+    running product of det DT: whether both multipliers are inside the unit
+    circle, and their (n, 2) log moduli per step (-inf for a zero one)."""
+    k = len(Y) - 1
+    a, d = _jacobians(Y[:-1], Y[1:], B, R)
+    p, _, _, t = _block_products(a[None], d[None])
+    mods = [modulus(e) for e in eig2(p[0] + t[0], np.multiply.accumulate(d)[-1])]
+    lams = [[(math.log(m) if m > 0.0 else -math.inf) / k for m in v.tolist()] for v in mods]
+    return mods[0] < 1.0, np.array(lams).T
 
 
 def _exponents(slog, sdet, span):
@@ -590,13 +577,13 @@ def _sweep_cells(M, B, R, opts: ClassifyOptions, x, y) -> list[AttractorClass]:
             per = np.zeros(g.size, dtype=np.int64)
             per[go_on] = detect_period(Y[:, go_on] if gone.any() else Y, opts.max_period,
                                        opts.period_tol)
-            for j in np.flatnonzero(per):
-                k = per[j]
-                cyc = np.column_stack((Y[L - k + 1 : L + 1, j], Y[L - k + 2 :, j]))
-                ok, lams = _verify_cycle(GhmParams(float(cM[j]), float(cB[j]), R), cyc)
-                if ok and lams[0] < -EPS_LYAP:
-                    verdict[g[j]], period[g[j]], lam[g[j]] = 1, k, lams
-                    go_on[j] = False
+            for k in sorted(set(per[per > 0].tolist())):
+                J = np.flatnonzero(per == k)
+                ok, lams = _cycle_exponents(Y[L - k + 1 :, J], cB[J], R)
+                sink = ok & (lams[:, 0] < -EPS_LYAP)
+                J = J[sink]
+                verdict[g[J]], period[g[J]], lam[g[J]] = 1, k, lams[sink]
+                go_on[J] = False
             if go_on.any():
                 lyap.append((g[go_on], Y[L][go_on], Y[L + 1][go_on], cM[go_on], cB[go_on]))
             del Y  # not held into the next chunk or phase
@@ -719,8 +706,7 @@ def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: i
         raise ValueError("the rectangle's width and height must be finite")  # for linspace
     if m_min >= m_max or b_min >= b_max:
         raise ValueError("empty parameter rectangle")
-    opts = opts or ClassifyOptions()
-    M = np.tile(np.linspace(m_min, m_max, nx), ny)
-    B = np.repeat(np.linspace(b_min, b_max, ny), nx)
-    cells = _sweep_cells(M, B, R, opts, *_seeds(M, B, R))
-    return SweepGrid(m_min, m_max, b_min, b_max, nx, ny, R, tuple(cells))
+    grid = SweepGrid(m_min, m_max, b_min, b_max, nx, ny, R, ())
+    Ms, Bs = grid.axes
+    M, B = np.tile(Ms, ny), np.repeat(Bs, nx)
+    return replace(grid, cells=tuple(_sweep_cells(M, B, R, opts or ClassifyOptions(), *_seeds(M, B, R))))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ghm_core import GhmParams, fixed_points
+from .ghm_core import GhmParams, fixed_points, trace_det
 
 CURVE_IDS = ("Lplus", "Lminus", "Lphi", "Lneutral")
 MAX_SAMPLES = 10**6  # trace_curves refuses more samples per curve
@@ -197,9 +197,7 @@ def validate_sample(sample: CurveSample, formula_tol: float = 1e-12, mult_tol: f
     else:
         raise ValueError(f"unknown curve id {cid!r}")
 
-    x = designated_fixed_point(sample)
-    tr = -(2.0 + R) * x
-    det = sample.B + R * x
+    tr, det = trace_det(designated_fixed_point(sample), sample.B, R)
     if cid == "Lplus":
         assert abs(1.0 - tr + det) <= mult_tol  # +1 is a root of m^2 - tr m + det
     elif cid == "Lminus":

@@ -11,6 +11,9 @@ Fixed points lie on the diagonal x = y and solve
 The Jacobian at (x, y) is [[0, 1], [-B - R*y, -2*y - R*x]], so
 det DT = B + R*y everywhere, and at a fixed point the multipliers have
 trace -(2 + R)*x and determinant B + R*x.
+The roots, the trace and determinant, and eig2 are written here once,
+elementwise: fixed_points is their one-point view, and the classifier's
+seeds and sink checks run them over whole batches.
 """
 
 from __future__ import annotations
@@ -60,40 +63,48 @@ class FixedPointReport:
     stability: str  # attracting | repelling | saddle | non-hyperbolic
 
 
-def eig2(tr: float, det: float) -> tuple[complex, complex]:
-    """Eigenvalue pair of a 2x2 matrix given trace and determinant.
+def eig2(tr, det):
+    """Eigenvalues (e1, e2) of 2x2 matrices given their traces and
+    determinants, elementwise: two complex arrays of their shape.
 
     The discriminant is clamped to zero inside its roundoff band so that
     structurally double multipliers (saddle-node and period-doubling loci,
     codimension-2 points) come out exactly equal instead of carrying
-    sqrt(eps) noise. Ordered by (modulus, argument) descending.
+    sqrt(eps) noise. A real pair is the larger-modulus root and det over it
+    (an exact +-r pair at tr = 0), ordered by (modulus, argument) descending:
+    of equal moduli, the negative root (argument pi) first.
     """
-    disc = tr * tr - 4.0 * det
-    scale = max(tr * tr, 4.0 * abs(det), 1.0)
-    if abs(disc) <= 64.0 * _EPS * scale:
-        m = tr / 2.0
-        return (complex(m), complex(m))
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        if tr == 0.0:
-            # exact +-r pair; keep the moduli bit-identical so the angle
-            # tie-break below stays deterministic
-            pair = (complex(sq / 2.0), complex(-sq / 2.0))
-        else:
-            m1 = (tr + sq) / 2.0 if tr > 0.0 else (tr - sq) / 2.0
-            m2 = det / m1  # larger-modulus root first avoids cancellation
-            pair = (complex(m1), complex(m2))
-    else:
-        im = math.sqrt(-disc) / 2.0
-        pair = (complex(tr / 2.0, im), complex(tr / 2.0, -im))
-    return tuple(sorted(pair, key=lambda m: (-abs(m), -np.angle(m))))
+    with np.errstate(all="ignore"):  # inf and nan propagate quietly
+        tt, fd = tr * tr, 4.0 * det
+        disc = tt - fd
+        band = 64.0 * _EPS * np.maximum(np.maximum(tt, np.abs(fd)), 1.0)
+        real = disc > band
+        sq = np.sqrt(np.abs(disc))
+        m1 = (tr + np.copysign(sq, tr)) / 2.0
+        half = tr / 2.0
+        re1 = np.where(real, m1, half)
+        re2 = np.where(real, np.where(tr == 0.0, -m1, det / m1), half)
+        a1, a2 = np.abs(re1), np.abs(re2)
+        swap = (a2 > a1) | ((a2 == a1) & (re2 < re1))
+        im = np.where(disc >= -band, 0.0, sq / 2.0)  # sq / 2 below the band, or nan
+    e1, e2 = np.where(swap, re2, re1).astype(complex), np.where(swap, re1, re2).astype(complex)
+    e1.imag, e2.imag = im, 0.0 - im  # +0.0, as complex(r) has, where im is 0
+    return e1, e2
+
+
+def modulus(z):
+    """abs of a complex array with Python abs(complex)'s bits (np.abs differs)."""
+    return np.hypot(z.real, z.imag)
+
+
+def trace_det(x, B, R):
+    """Trace and determinant of DT at the fixed points (x, x), elementwise."""
+    return -(2.0 + R) * x, B + R * x
 
 
 def multipliers_at(p: GhmParams, x: float) -> tuple[complex, complex]:
     """Multipliers of the fixed point (x, x), ordered by (modulus, argument) desc."""
-    tr = -(2.0 + p.R) * x
-    det = p.B + p.R * x
-    return eig2(tr, det)
+    return tuple(complex(e) for e in eig2(*trace_det(x, p.B, p.R)))
 
 
 def _stability_tag(mults: tuple[complex, complex]) -> str:
@@ -107,44 +118,52 @@ def _stability_tag(mults: tuple[complex, complex]) -> str:
     return "saddle"
 
 
-def _make_report(p: GhmParams, x: float) -> FixedPointReport:
-    mults = multipliers_at(p, x)
-    return FixedPointReport(State2(x, x), mults, _stability_tag(mults))
+def fixed_point_roots(M, B, R: float):
+    """Roots (x1, x2) = (-b +- sqrt(disc)) / 2a of the fixed-point equation,
+    a = 1 + R, b = 1 + B, and disc = b*b + 4aM (sqrt(0) where disc < 0),
+    elementwise in M and B; at R = -1, x1 = x2 = M / b and disc is None.
+    Neither clamped nor polished: the classifier's seeds are these bits."""
+    a, b = 1.0 + R, 1.0 + B
+    with np.errstate(all="ignore"):
+        if a == 0.0:
+            x = np.divide(M, b)
+            return x, x, None
+        disc = b * b + 4.0 * a * M
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        return (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a), disc
 
 
 def fixed_points(p: GhmParams) -> list[FixedPointReport]:
     """All fixed points, sorted by x ascending; double roots reported once.
 
-    R = -1 degenerates the quadratic to (1+B)x = M: one root for B != -1,
-    and the fully degenerate line case R = B = -1 raises DegenerateLineError
-    (M = 0 gives a line of fixed points, M != 0 gives none; neither fits a
-    finite report list).
+    The one-point view of fixed_point_roots: a discriminant within roundoff
+    of zero gives the double root at the vertex, and each simple root takes
+    one Newton step. R = -1 degenerates the quadratic to (1+B)x = M: one
+    root for B != -1, and the fully degenerate line case R = B = -1 raises
+    DegenerateLineError (M = 0 gives a line of fixed points, M != 0 gives
+    none; neither fits a finite report list).
     """
-    a = 1.0 + p.R
-    b = 1.0 + p.B
-    c = -p.M
-    if a == 0.0:
-        if b == 0.0:
-            kind = "every diagonal point is fixed" if p.M == 0.0 else "no fixed points"
-            raise DegenerateLineError(
-                f"R = -1 and B = -1 degenerate the fixed-point equation to 0 = M ({kind})"
-            )
-        return [_make_report(p, p.M / b)]
-    disc = b * b - 4.0 * a * c
-    scale = max(b * b, abs(4.0 * a * c), 1.0)
-    if abs(disc) <= 16.0 * _EPS * scale:
-        # double root at the vertex; the merged point sits on the fold locus
-        return [_make_report(p, -b / (2.0 * a))]
-    if disc < 0.0:
+    a, b = 1.0 + p.R, 1.0 + p.B
+    if a == 0.0 and b == 0.0:
+        kind = "every diagonal point is fixed" if p.M == 0.0 else "no fixed points"
+        raise DegenerateLineError(
+            f"R = -1 and B = -1 degenerate the fixed-point equation to 0 = M ({kind})"
+        )
+    x1, x2, disc = fixed_point_roots(p.M, p.B, p.R)
+    if disc is None:
+        xs = [float(x1)]
+    elif abs(disc) <= 16.0 * _EPS * max(b * b, abs(4.0 * a * p.M), 1.0):
+        xs = [-b / (2.0 * a)]  # double root at the vertex, on the fold locus
+    elif disc < 0.0:
         return []
-    sq = math.sqrt(disc)
-    q = -(b + math.copysign(sq, b)) / 2.0
-    roots = [q / a, c / q]
-    polished = []
-    for x in roots:
-        d = 2.0 * a * x + b
-        if d != 0.0:
-            x -= (a * x * x + b * x + c) / d  # one Newton step cleans the residual
-        polished.append(x)
-    polished.sort()
-    return [_make_report(p, x) for x in polished]
+    else:
+        xs = []
+        for x in (float(x1), float(x2)):
+            d = 2.0 * a * x + b
+            if d != 0.0:
+                x -= (a * x * x + b * x - p.M) / d  # one Newton step cleans the residual
+            xs.append(x)
+        xs.sort()
+    e1, e2 = eig2(*trace_det(np.array(xs), p.B, p.R))
+    return [FixedPointReport(State2(x, x), m, _stability_tag(m))
+            for x, m in zip(xs, zip(e1.tolist(), e2.tolist()))]

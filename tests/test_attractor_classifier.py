@@ -14,7 +14,7 @@ from ghmlab.attractor_classifier import (
     NotACircleError,
     OrbitEscapedError,
     _circle_test,
-    _verify_cycle,
+    _cycle_exponents,
     classify,
     detect_period,
     fit_invariant_circle,
@@ -22,7 +22,7 @@ from ghmlab.attractor_classifier import (
     sweep,
 )
 from ghmlab.bifurcation_atlas import curve_L_phi
-from ghmlab.ghm_core import GhmParams, State2
+from ghmlab.ghm_core import GhmParams, State2, eig2
 
 
 def test_lyapunov_at_attracting_focus():
@@ -485,6 +485,43 @@ def _reference_period(scan, max_period, tol):
     return None
 
 
+def _reference_verify_cycle(p, cycle):
+    # (attracting, per-step log moduli) of an (k, 2) cycle of (x, y) states:
+    # its monodromy one Jacobian at a time, and eig2 on Python floats
+    k = len(cycle)
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    det = 1.0
+    for x, y in cycle:
+        j21 = -p.B - p.R * y
+        j22 = -2.0 * y - p.R * x
+        # left-multiply by [[0, 1], [j21, j22]]
+        m11, m12, m21, m22 = m21, m22, j21 * m11 + j22 * m21, j21 * m12 + j22 * m22
+        det *= p.B + p.R * y
+    mods = sorted((abs(complex(e)) for e in eig2(m11 + m22, det)), reverse=True)
+    lams = tuple((math.log(m) if m > 0.0 else -math.inf) / k for m in mods)
+    return mods[0] < 1.0, lams
+
+
+@pytest.mark.parametrize("R", [0.0, 0.2])
+def test_cycle_exponents_are_the_scalar_loop_bit_for_bit(R):
+    # 100 random cycles of each period 1..64 in one batch per period; about
+    # half are attracting, and a zero determinant gives -inf exponents
+    rng = np.random.default_rng(29)
+    attracting = 0
+    for k in range(1, 65):
+        Y = rng.uniform(-1.1, 1.1, size=(k + 1, 100))
+        B = rng.uniform(-0.9, 0.9, size=100)
+        if R == 0.0:
+            B[:3] = 0.0
+        ok, lams = _cycle_exponents(Y, B, R)
+        for j in range(100):
+            ref_ok, ref = _reference_verify_cycle(GhmParams(0.0, float(B[j]), R),
+                                                  np.column_stack((Y[:-1, j], Y[1:, j])))
+            assert (bool(ok[j]), lams[j].tobytes()) == (ref_ok, np.array(ref).tobytes()), (k, j)
+        attracting += int(ok.sum())
+    assert 2000 < attracting < 4400
+
+
 def _reference_lyapunov_exponents(p, s0, burn_in, span, escape_radius=1.0e6):
     if span < 1000:
         raise ValueError("span must be >= 1000 for a meaningful average")
@@ -510,7 +547,7 @@ def _reference_classify(p, opts, s0=None):
 
     per = _reference_period(scan, opts.max_period, opts.period_tol)
     if per is not None:
-        ok, lams = _verify_cycle(p, np.array(scan[-per:]))
+        ok, lams = _reference_verify_cycle(p, np.array(scan[-per:]))
         if ok and lams[0] < -EPS_LYAP:
             return AttractorClass("sink", period=per, lyapunov=lams)
 

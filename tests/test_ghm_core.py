@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ghmlab.attractor_classifier import _exits, _verify_cycle, _window
-from ghmlab.ghm_core import DegenerateLineError, GhmParams, fixed_points, multipliers_at
+from ghmlab.attractor_classifier import _cycle_exponents, _exits, _window
+from ghmlab.ghm_core import (
+    _EPS,
+    DegenerateLineError,
+    FixedPointReport,
+    GhmParams,
+    State2,
+    _stability_tag,
+    eig2,
+    fixed_points,
+    multipliers_at,
+)
 
 
 # every map step is taken by attractor_classifier._window: row j + 1 of its
@@ -43,6 +53,13 @@ def test_step_overflow_tags_escaped():
     assert gone.tolist() == [True, False] and at.tolist() == [1]
 
 
+def _sink_check(B, R, x, y):
+    """_cycle_exponents on the one-point "cycle" (x, y): (attracting,
+    (l1, l2)), the log moduli of the Jacobian's eigenvalues there."""
+    ok, lams = _cycle_exponents(np.array([[x], [y]], float), B, R)
+    return bool(ok[0]), tuple(lams[0].tolist())
+
+
 def _central_jacobians(M, B, R, x, y, h=1.0):
     """(n, 2, 2) central-difference Jacobians of one _window step at the
     points (x, y); the map is quadratic, so for any h they are the exact
@@ -60,16 +77,16 @@ def _central_jacobians(M, B, R, x, y, h=1.0):
 
 def test_jacobian_entries():
     # DT = [[0, 1], [-B - R*y, -2*y - R*x]], read off _window steps, and
-    # the exact cases of _verify_cycle on one-point cycles
+    # the exact cases of the sink check on one-point cycles
     J = _central_jacobians([0.0, 0.0, 1.0], [0.0, 0.5, 2.0], [0.0, 0.0, 3.0],
                            [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
     assert J.tolist() == [[[0, 1], [0, 0]], [[0, 1], [-0.5, 0]], [[0, 1], [-5, -5]]]
     # a nilpotent Jacobian, and a focus with multipliers +-i/sqrt(2)
-    assert _verify_cycle(GhmParams(0.0, 0.0, 0.0), np.zeros((1, 2))) == (True, (-math.inf,) * 2)
+    assert _sink_check(0.0, 0.0, 0.0, 0.0) == (True, (-math.inf,) * 2)
     lam = math.log(math.sqrt(2.0) / 2.0)
-    assert _verify_cycle(GhmParams(0.0, 0.5, 0.0), np.zeros((1, 2))) == (True, (lam, lam))
+    assert _sink_check(0.5, 0.0, 0.0, 0.0) == (True, (lam, lam))
     # [[0, 1], [-5, -5]] has multipliers (-5 -+ sqrt 5)/2, both outside the unit circle
-    ok, lams = _verify_cycle(GhmParams(1.0, 2.0, 3.0), np.array([[1.0, 1.0]]))
+    ok, lams = _sink_check(2.0, 3.0, 1.0, 1.0)
     big, small = (5.0 + math.sqrt(5.0)) / 2.0, (5.0 - math.sqrt(5.0)) / 2.0
     assert not ok
     assert math.isclose(lams[0], math.log(big), rel_tol=1e-14)
@@ -77,7 +94,7 @@ def test_jacobian_entries():
 
 
 def test_jacobian_matches_finite_differences():
-    # _verify_cycle on a one-point "cycle" gives the log moduli of the
+    # the sink check on a one-point "cycle" gives the log moduli of the
     # Jacobian's eigenvalues there, which sum to log|det DT| = log|B + R*y|;
     # the map is quadratic, so a central difference of one _window step is
     # its Jacobian up to rounding
@@ -95,7 +112,7 @@ def test_jacobian_matches_finite_differences():
         mods = np.sort(np.abs(np.linalg.eigvals(J)))[::-1]
         if abs(tr * tr - 4.0 * det) < 1e-3 or mods[1] < 1e-3:
             continue  # ill-conditioned eigenvalues, or a log of a tiny modulus
-        ok, lams = _verify_cycle(GhmParams(M, B, R), np.array([[x, y]]))
+        ok, lams = _sink_check(B, R, x, y)
         assert np.abs(np.array(lams) - np.log(mods)).max() < 1e-6
         assert abs(sum(lams) - math.log(abs(B + R * y))) < 1e-12
         assert ok == (mods[0] < 1.0)
@@ -105,7 +122,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_determinant_identity():
     # det DT = B + R*y, for the Jacobian of a _window step and for the
-    # exponents _verify_cycle reports on a one-point cycle
+    # exponents the sink check reports on one-point cycles, all in one batch
     rng = np.random.default_rng(3)
     M, B = rng.uniform(-5, 5, size=(2, 300))
     R = rng.uniform(-0.5, 0.5, size=300)
@@ -113,9 +130,106 @@ def test_determinant_identity():
     d = B + R * y
     J = _central_jacobians(M, B, R, x, y)
     assert np.all(np.abs(np.linalg.det(J) - d) < 1e-12 * np.maximum(1.0, np.abs(d)))
-    for Mi, Bi, Ri, xi, yi, di in zip(M, B, R, x, y, d):
-        ok, lams = _verify_cycle(GhmParams(Mi, Bi, Ri), np.array([[xi, yi]]))
-        assert abs(sum(lams) - math.log(abs(di))) < 1e-12
+    _, lams = _cycle_exponents(np.array([x, y]), B, R)
+    assert np.abs(lams.sum(axis=1) - np.log(np.abs(d))).max() < 1e-12
+
+
+# scalar references: eig2 on Python floats, and fixed_points with the
+# cancellation-free closed form q = -(b + sign(b) sqrt(disc))/2, roots q/a
+# and c/q
+
+
+def _reference_eig2(tr, det):
+    disc = tr * tr - 4.0 * det
+    scale = max(tr * tr, 4.0 * abs(det), 1.0)
+    if abs(disc) <= 64.0 * _EPS * scale:
+        m = tr / 2.0
+        return (complex(m), complex(m))
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        if tr == 0.0:
+            pair = (complex(sq / 2.0), complex(-sq / 2.0))
+        else:
+            m1 = (tr + sq) / 2.0 if tr > 0.0 else (tr - sq) / 2.0
+            pair = (complex(m1), complex(det / m1))
+    else:
+        im = math.sqrt(-disc) / 2.0
+        pair = (complex(tr / 2.0, im), complex(tr / 2.0, -im))
+    return tuple(sorted(pair, key=lambda m: (-abs(m), -np.angle(m))))
+
+
+def _reference_fixed_points(p):
+    def report(x):
+        mults = _reference_eig2(-(2.0 + p.R) * x, p.B + p.R * x)
+        return FixedPointReport(State2(x, x), mults, _stability_tag(mults))
+
+    a, b, c = 1.0 + p.R, 1.0 + p.B, -p.M
+    if a == 0.0:
+        return [report(p.M / b)]
+    disc = b * b - 4.0 * a * c
+    if abs(disc) <= 16.0 * _EPS * max(b * b, abs(4.0 * a * c), 1.0):
+        return [report(-b / (2.0 * a))]
+    if disc < 0.0:
+        return []
+    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+    polished = []
+    for x in (q / a, c / q):
+        d = 2.0 * a * x + b
+        if d != 0.0:
+            x -= (a * x * x + b * x + c) / d
+        polished.append(x)
+    return [report(x) for x in sorted(polished)]
+
+
+def test_eig2_is_its_scalar_reference_bit_for_bit():
+    # values, order and signed zeros of both multipliers, on real and complex
+    # pairs, tr = +-0 (an exact +-r pair), det = +-0, both edges of the
+    # 64-eps clamp band, ties of modulus between roots of opposite sign, and
+    # products that overflow
+    rng = np.random.default_rng(17)
+    tr = rng.uniform(-4.0, 4.0, 3000)
+    det = rng.uniform(-4.0, 4.0, 3000)
+    t0 = rng.uniform(-3.0, 3.0, 201)
+    cases = [
+        (tr, det),
+        (tr * 1e-9, det),
+        (tr * 1e150, det * 1e300),
+        (np.repeat([0.0, -0.0], 100), rng.uniform(-2.0, 2.0, 200)),
+        (rng.uniform(-3.0, 3.0, 200), np.repeat([0.0, -0.0], 100)),
+        (t0, t0 * t0 / 4.0 * (1.0 + np.arange(-100, 101) * _EPS)),
+        (np.array([1e-17, -1e-17, 2.0**-60, 0.0, -0.0, 0.0, math.inf, 1.0, -math.inf]),
+         np.array([-1.0, -1.0, -4.0, 0.0, 0.0, -0.0, 1.0, math.inf, -math.inf])),
+    ]
+    kinds = set()
+    for tr, det in cases:
+        e1, e2 = eig2(tr, det)
+        ref = np.array([_reference_eig2(t, d) for t, d in zip(tr.tolist(), det.tolist())])
+        assert np.stack((e1, e2), axis=1).view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+        kinds |= {"double" if m1 == m2 else "complex" if m1.imag else
+                  "tie" if m1 == -m2 else "real" for m1, m2 in ref.tolist()}
+    assert kinds == {"double", "complex", "tie", "real"}
+    assert [complex(e) for e in eig2(0.0, -0.25)] == [-0.5, 0.5]  # argument pi first
+
+
+def test_fixed_points_are_their_reference_within_four_ulps():
+    # fixed_points polishes the classifier's unpolished roots, so it may
+    # differ from the reference by a few ulps, plus the rounding of f(x) in
+    # either's Newton step, eps (|a x^2| + |b x| + |M|) / |f'(x)|, which
+    # dominates near the fold, where f'(x) = 2ax + b is small
+    rng = np.random.default_rng(19)
+    moved = 0
+    for _ in range(20_000):
+        p = GhmParams(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-0.5, 0.5))
+        got, ref = fixed_points(p), _reference_fixed_points(p)
+        assert len(got) == len(ref)
+        a, b = 1.0 + p.R, 1.0 + p.B
+        for r, rr in zip(got, ref):
+            x, xr = r.point.x, rr.point.x
+            newton = _EPS * (abs(a * xr * xr) + abs(b * xr) + abs(p.M)) / abs(2.0 * a * xr + b)
+            assert abs(x - xr) <= 4.0 * (np.spacing(abs(xr)) + newton), (p, x, xr)
+            assert r.stability == rr.stability
+            moved += x != xr
+    assert moved > 0
 
 
 def test_fixed_points_basic_roots():
@@ -132,6 +246,9 @@ def test_fixed_points_basic_roots():
     assert reports[0].stability == "non-hyperbolic"  # multiplier +1
 
     assert fixed_points(GhmParams(-1.0, 0.0, 0.0)) == []
+    for p in (GhmParams(0.0, 0.0, 0.0), GhmParams(-0.25, 0.0, 0.0), GhmParams(-1.0, 0.0, 0.0),
+              GhmParams(1.0, 1.0, -1.0), GhmParams(0.75, 0.0, 0.0), GhmParams(-1.0, 1.0, 0.0)):
+        assert fixed_points(p) == _reference_fixed_points(p)
 
 
 def test_fixed_points_linear_branch_and_degenerate_line():
