@@ -771,12 +771,16 @@ def test_sweep_kernel_drops_exponents_it_cannot_resolve():
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 512, 513])
-@pytest.mark.parametrize("R", [0.0, 0.1, -0.05])
+@pytest.mark.parametrize("R", [0.0, -0.0, 0.1, -0.05])
 @pytest.mark.parametrize("scalar", [False, True])
 def test_batch_window_is_the_step_loop_bit_for_bit(w, R, scalar):
     # the batch steps in pairs of rows; each row must be the textbook step
     # M - B*x - y*y - (R*x)*y of the row before, odd w, scalar M and B, and
-    # columns that overflow to inf and then nan mid-record included
+    # columns that overflow to inf and then nan mid-record included. At
+    # R = +-0 the steps drop (R*x)*y, so the overflowing column is stepped
+    # again with it, in a batch and alone; from (0.5, -0.0) at M = -0.0 and
+    # R = +0.0 the short step gives -0.0 where the textbook gives +0.0, so
+    # that column keeps the term, and the batch without it drops it
     rng = np.random.default_rng(w)
     n = 9
     x, y = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)
@@ -785,16 +789,40 @@ def test_batch_window_is_the_step_loop_bit_for_bit(w, R, scalar):
         M, B = 1.4, -0.3
     else:
         M, B = rng.uniform(-0.5, 2.0, n), rng.uniform(-1.0, 1.0, n)
+        x[1], y[1], M[1], B[1] = 0.5, -0.0, -0.0, 0.0
     with np.errstate(all="ignore"):
-        Y = attractor_classifier._window(x, y, M, B, R, w)
         rows = [x, y]
         for _ in range(w):
             xk, yk = rows[-2], rows[-1]
             rows.append(M - B * xk - yk * yk - (R * xk) * yk)
-    assert Y.shape == (w + 2, n)
-    assert Y.tobytes() == np.array(rows).tobytes()
+        rows = np.array(rows)
+        for c in [slice(None), slice(2, None)] + [slice(i, i + 1) for i in range(n)]:
+            Mc, Bc = (v if scalar else v[c] for v in (M, B))
+            Y = attractor_classifier._window(x[c], y[c], Mc, Bc, R, w)
+            assert Y.shape == rows[:, c].shape
+            assert Y.tobytes() == rows[:, c].tobytes(), c
     if w >= 3:
-        assert Y[2, 0] == -math.inf and np.isnan(Y[4:, 0]).all()
+        assert rows[2, 0] == -math.inf and np.isnan(rows[4:, 0]).all()
+    if math.copysign(1.0, R) == 1.0 and R == 0.0 and not scalar:
+        assert math.copysign(1.0, rows[2, 1]) == 1.0
+
+
+def test_window_drops_the_zero_term_at_r_zero(monkeypatch):
+    # a finite batch record at R = +-0 (a float or an array) and M != 0 takes
+    # 3 numpy calls a step, 1.5 of them multiplies, not 3; a zero M keeps the
+    # term, and a record that leaves the finite doubles is stepped again with it
+    calls = []
+    multiply = np.multiply
+    monkeypatch.setattr(np, "multiply", lambda *a: calls.append(a) or multiply(*a))
+    x, y = np.array([0.1, -0.2]), np.array([0.3, 0.05])
+    M, B = np.array([1.4, 1.2]), np.array([-0.3, 0.2])
+    cases = [(x, M, 0.0, 12), (x, M, -0.0, 12), (x, M, np.zeros(2), 12), (x, M, 0.1, 24),
+             (x, np.array([1.4, -0.0]), 0.0, 24), (np.array([0.1, 1e100]), M, 0.0, 12 + 24)]
+    for xs, Ms, R, want in cases:
+        calls.clear()
+        with np.errstate(all="ignore"):
+            attractor_classifier._window(xs, y, Ms, B, R, 8)
+        assert len(calls) == want, (xs, Ms, R)
 
 
 @pytest.mark.parametrize("blocks, k", [(3, 16), (1, 5), (1, 1)])
