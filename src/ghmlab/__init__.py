@@ -46,7 +46,6 @@ from .tangency_lab import (
     GlobalMapCoeffs,
     ReturnMap,
     ReturnMapConfig,
-    RescaledParams,
     CoexistenceBox,
     CoexistenceHit,
     DEFAULT_SPECTRUM,
@@ -55,7 +54,7 @@ from .tangency_lab import (
     local_map,
     global_map,
     tangency_jacobian,
-    window_base_mu,
+    window_terms,
     asymptotic_params,
     window_invert,
     window_mb,

@@ -97,9 +97,7 @@ class AttractorClass:
 class CircleReport:
     center: tuple[float, float]
     mean_radius: float
-    radial_deviation: float
-    rotation_number: float | None
-    invariance_residual: float | None
+    invariance_residual: float
 
 
 @dataclass(frozen=True)
@@ -188,18 +186,15 @@ def _rotation_number(rel: np.ndarray) -> float | None:
     return float(abs(dth.mean()) / (2.0 * math.pi))
 
 
-def fit_invariant_circle(orbit_tail, p: GhmParams | None = None,
-                         map_power: int = 1) -> CircleReport:
+def fit_invariant_circle(orbit_tail, p: GhmParams, map_power: int = 1) -> CircleReport:
     """Fit a closed polygonal curve to a bounded non-periodic tail.
 
     Points are sorted by angle about their centroid and averaged in
     CIRCLE_BINS angular bins; the polygon through the bin means, star-shaped
     about the centroid, is the curve estimate. Angular gaps beyond
-    GAP_LIMIT_DEG raise NotACircleError. When p is given, the invariance
-    residual is the largest distance from the map image of a polygon vertex
-    (map applied map_power times) back to the polygon. The rotation number
-    is the mean wrapped angular increment per time step, in [0, 0.5]; None
-    where the increments change sign.
+    GAP_LIMIT_DEG raise NotACircleError. The invariance residual is the
+    largest distance from the image under the map at p of a polygon vertex
+    (map applied map_power times) back to the polygon.
     """
     pts = np.asarray(orbit_tail, float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -224,16 +219,12 @@ def fit_invariant_circle(orbit_tail, p: GhmParams | None = None,
     nonempty = counts > 0
     verts = np.column_stack([sx[nonempty] / counts[nonempty], sy[nonempty] / counts[nonempty]])
 
-    residual = None
-    if p is not None:
-        Y = _window(verts[:, 0], verts[:, 1], p.M, p.B, p.R, map_power)
-        residual = float(_dist_to_polygon(np.column_stack((Y[-2], Y[-1])), verts, center).max())
+    Y = _window(verts[:, 0], verts[:, 1], p.M, p.B, p.R, map_power)
+    residual = float(_dist_to_polygon(np.column_stack((Y[-2], Y[-1])), verts, center).max())
 
     return CircleReport(
         center=(float(center[0]), float(center[1])),
         mean_radius=float(rad.mean()),
-        radial_deviation=float(rad.std()),
-        rotation_number=_rotation_number(rel),
         invariance_residual=residual,
     )
 

@@ -30,6 +30,8 @@ from .ghm_core import GhmParams, fixed_points, trace_det
 
 CURVE_IDS = ("Lplus", "Lminus", "Lphi", "Lneutral")
 MAX_SAMPLES = 10**6  # trace_curves refuses more samples per curve
+FORMULA_TOL = 1e-12  # validate_sample's relative bar on the curve formulas
+MULT_TOL = 1e-10  # its absolute bar on the designated fixed point's trace and det
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,6 @@ class CurveSample:
     M: float
     B: float
     R: float
-
-    @property
-    def location(self) -> tuple[float, float]:
-        return (self.M, self.B)
 
 
 @dataclass(frozen=True)
@@ -183,28 +181,29 @@ def trace_curves(R: float, samples_per_curve: int) -> list[CurveSample]:
     return out
 
 
-def validate_sample(sample: CurveSample, formula_tol: float = 1e-12, mult_tol: float = 1e-10) -> None:
-    """Raise AssertionError unless the sample satisfies its defining identities."""
+def validate_sample(sample: CurveSample) -> None:
+    """Raise AssertionError unless the sample satisfies its defining identities
+    (explicitly, so the check holds under python -O too)."""
     cid, par, R = sample.curve_id, sample.parameter, sample.R
     if cid == "Lplus":
-        assert abs(sample.M - curve_L_plus(sample.B, R)) <= formula_tol * max(1.0, abs(sample.M))
+        ok = abs(sample.M - curve_L_plus(sample.B, R)) <= FORMULA_TOL * max(1.0, abs(sample.M))
     elif cid == "Lminus":
-        assert abs(sample.M - curve_L_minus(sample.B, R)) <= formula_tol * max(1.0, abs(sample.M))
+        ok = abs(sample.M - curve_L_minus(sample.B, R)) <= FORMULA_TOL * max(1.0, abs(sample.M))
     elif cid in ("Lphi", "Lneutral"):
         M, B = (curve_L_phi if cid == "Lphi" else curve_L_neutral)(par, R)
-        assert abs(sample.M - M) <= formula_tol * max(1.0, abs(M))
-        assert abs(sample.B - B) <= formula_tol * max(1.0, abs(B))
+        ok = (abs(sample.M - M) <= FORMULA_TOL * max(1.0, abs(M))
+              and abs(sample.B - B) <= FORMULA_TOL * max(1.0, abs(B)))
     else:
         raise ValueError(f"unknown curve id {cid!r}")
 
     tr, det = trace_det(designated_fixed_point(sample), sample.B, R)
     if cid == "Lplus":
-        assert abs(1.0 - tr + det) <= mult_tol  # +1 is a root of m^2 - tr m + det
+        ok = ok and abs(1.0 - tr + det) <= MULT_TOL  # +1 is a root of m^2 - tr m + det
     elif cid == "Lminus":
-        assert abs(1.0 + tr + det) <= mult_tol  # -1 is a root
+        ok = ok and abs(1.0 + tr + det) <= MULT_TOL  # -1 is a root
     elif cid == "Lphi":
-        assert abs(det - 1.0) <= mult_tol
-        assert abs(tr - 2.0 * math.cos(par)) <= mult_tol
+        ok = ok and abs(det - 1.0) <= MULT_TOL and abs(tr - 2.0 * math.cos(par)) <= MULT_TOL
     else:
-        assert abs(det - 1.0) <= mult_tol
-        assert tr > 2.0  # real positive pair alpha +- sqrt(alpha^2 - 1)
+        ok = ok and abs(det - 1.0) <= MULT_TOL and tr > 2.0  # a real positive pair
+    if not ok:
+        raise AssertionError(f"{cid} sample at parameter {par!r} fails its defining identities")

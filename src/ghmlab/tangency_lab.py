@@ -9,13 +9,14 @@ quadratic map x' = y, y' = M - B x - y^2 - R x y. This module constructs
 T_n numerically, evaluates the leading-order parameter asymptotics
 (M, B, R as functions of mu, phi, n), inverts them over a parameter window,
 and fits the quadratic map to actual return-map data so the two can be
-compared.
+compared. Both are GhmParams: a window's (M, B, R) is a member of the family.
 
 Gauge conventions: the leading-order formulas treat the model's coefficient
 amplitude, rotation phase, and tangency offset mu0_n as 1, 0, 0 (the usual
 normal-form normalizations). mount_window realizes a requested (M, B) window
 inside the concrete model by solving the exact amplitude/phase/offset
-relations, so fitted parameters are comparable with the leading-order ones.
+relations, its offset mu0_n from window_terms as the coexistence prefilter
+takes it, so fitted parameters are comparable with the leading-order ones.
 """
 
 from __future__ import annotations
@@ -140,26 +141,6 @@ class ReturnMapConfig:
         return self.spectrum.gamma ** (-self.n) * self.coeffs.y_minus
 
 
-@dataclass(frozen=True)
-class RescaledParams:
-    """(M, B, R) of the rescaled return map, asymptotic or fitted."""
-
-    M: float
-    B: float
-    R: float
-    provenance: str
-    residual: float | None = None
-
-    def __post_init__(self):
-        if self.provenance not in ("asymptotic", "fitted"):
-            raise ValueError("provenance must be 'asymptotic' or 'fitted'")
-        if not all(math.isfinite(v) for v in (self.M, self.B, self.R)):
-            raise ValueError("rescaled parameters must be finite")
-
-    def as_ghm(self) -> GhmParams:
-        return GhmParams(self.M, self.B, self.R)
-
-
 # ---------------------------------------------------------------------------
 # the model maps
 
@@ -236,7 +217,6 @@ class ReturnMap:
     """
 
     def __init__(self, config: ReturnMapConfig):
-        self.config = config
         sp, cf, n = config.spectrum, config.coeffs, config.n
         self.gn = sp.gamma**n
         self.u_scale = -cf.d * self.gn
@@ -249,13 +229,13 @@ class ReturnMap:
     def rows(cls, maps: list[ReturnMap], m: int) -> ReturnMap:
         """The maps' orbits as one batch of m rows per map, in order: each
         coefficient of step, and u_scale, becomes a column holding each map's
-        value on its own rows, so every row gets its own map's bits. The
-        result has no config; only step and u_scale are meant for it."""
+        value on its own rows, so every row gets its own map's bits. Only
+        step, u_scale and _manifold_seed are meant for the result."""
         T = cls.__new__(cls)
         col = lambda *v: np.repeat(v, m)  # noqa: E731
         T.E = tuple(map(col, *(t.E for t in maps)))
         T._k = tuple(map(col, *(t._k for t in maps)))
-        T.u_scale = col(*(t.u_scale for t in maps))[:, None]
+        T.u_scale = col(*(t.u_scale for t in maps))
         return T
 
     def step(self, X, w):
@@ -271,24 +251,24 @@ class ReturnMap:
 # window asymptotics
 
 
-def window_base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi):
-    """Splitting value mu0_n at which the n-th return window is centered.
-
-    mu0_n = gamma^-n y_minus - lam^n c.Rot(n phi).Xc with Xc the fixed point
-    of the x-recursion, Xc = (I - lam^n A Rot(n phi))^-1 x_plus. Elementwise
-    in phi, a float or an array.
-    """
-    return _base_mu(spectrum, coeffs, n, *_x_recursion(spectrum, coeffs, n, phi))
-
-
-def _base_mu(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, E, r):
-    """window_base_mu from _x_recursion's (E, r) at n."""
+def window_terms(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi):
+    """(B_n, mu0_n) of the n-th return window, elementwise in phi (a float
+    or an array): B_n = -(lam gamma)^n c.Rot(n phi).b, and the splitting
+    value mu0_n = gamma^-n y_minus - lam^n c.Rot(n phi).Xc at which the
+    window is centered, Xc = (I - lam^n A Rot(n phi))^-1 x_plus the fixed
+    point of the x-recursion. ValueError when (lam gamma)^n overflows."""
+    try:
+        amp = (spectrum.lam * spectrum.gamma) ** n
+    except OverflowError:
+        raise ValueError(f"(lam*gamma)^n overflows at return index n={n}") from None
+    E, (r1, r2) = _x_recursion(spectrum, coeffs, n, phi)
     x1, x2 = _resolvent(E, *coeffs.x_plus)
-    return spectrum.gamma ** (-n) * coeffs.y_minus - spectrum.lam**n * (r[0] * x1 + r[1] * x2)
+    return (-amp * (r1 * coeffs.b[0] + r2 * coeffs.b[1]),
+            spectrum.gamma ** (-n) * coeffs.y_minus - spectrum.lam**n * (r1 * x1 + r2 * x2))
 
 
 def asymptotic_params(spectrum: SaddleSpectrum, mu: float, phi: float, n: int,
-                      j1: float) -> RescaledParams:
+                      j1: float) -> GhmParams:
     """Leading-order rescaled parameters of the n-th return window.
 
     M = gamma^2n mu, B = (lam gamma)^n cos(n phi), R = 2 j1 (lam^2 gamma)^n / B
@@ -305,7 +285,7 @@ def asymptotic_params(spectrum: SaddleSpectrum, mu: float, phi: float, n: int,
             f"|B|={abs(B):.6g} inside the strip |B| < {EXCLUDED_RADIUS:g}, "
             "where the R asymptotics degenerate near B=0"
         )
-    return RescaledParams(M, B, float(_window_r(spectrum, j1, n, B)), "asymptotic")
+    return GhmParams(M, B, float(_window_r(spectrum, j1, n, B)))
 
 
 def _window_r(spectrum: SaddleSpectrum, j1: float, n: int, B):
@@ -344,7 +324,10 @@ def window_invert(spectrum: SaddleSpectrum, n: int,
         raise ValueError("target must lie in (-10, 10)^2")
     if math.hypot(M, B) < EXCLUDED_RADIUS:
         raise ValueError(f"target inside the excluded ball of radius {EXCLUDED_RADIUS:g}")
-    v = B * (spectrum.lam * spectrum.gamma) ** (-n)
+    try:
+        v = B * (spectrum.lam * spectrum.gamma) ** (-n)
+    except OverflowError:  # n too large to be a float
+        raise ValueError(f"(lam*gamma)^-n is out of range at return index n={n}") from None
     if abs(v) > 1.0:
         raise ValueError(
             f"|B|={abs(B):.6g} exceeds (lam*gamma)^n={(spectrum.lam * spectrum.gamma) ** n:.6g}; "
@@ -391,7 +374,7 @@ def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
         raise ValueError(f"no admissible rotation angle for target B={B_t:g} at n={n}")
     theta = min(cands, key=lambda t: abs(t - math.pi / 2.0))
     phi = theta / n
-    mu = float(window_base_mu(spectrum, coeffs, n, phi)
+    mu = float(window_terms(spectrum, coeffs, n, phi)[1]
                - M_t / (coeffs.d * spectrum.gamma ** (2 * n)))
     return ReturnMapConfig(spectrum, replace(coeffs, mu=mu), n, phi)
 
@@ -400,7 +383,7 @@ def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
 # fitting the rescaled map
 
 
-def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> RescaledParams:
+def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> GhmParams:
     """Quadratic regression u2 = f(u0, u1) reduced to the normalized gauge.
 
     Fits the full quadratic f = a0 + a1 u0 + a2 u1 + q u1^2 + r u0 u1 + p u0^2,
@@ -460,16 +443,15 @@ def _fit_triples(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> RescaledPara
     M = s * (a0 + (a1 + a2) * y_c + (q + r + p) * y_c * y_c - y_c)
     B = -(a1 + (r + 2.0 * p) * y_c)
     R = r / q + 2.0 * p / q
-    rms = float(np.sqrt(np.mean((coef @ X - z2) ** 2)))
-    return RescaledParams(M, B, R, "fitted", residual=abs(s) * rms)  # normalized gauge
+    return GhmParams(M, B, R)  # normalized gauge
 
 
-def fit_ghm_series(series) -> RescaledParams:
+def fit_ghm_series(series) -> GhmParams:
     """Fit the planar quadratic map to a scalar series by delay embedding.
 
     The series is read as consecutive iterates of the rescaled coordinate;
     triples (u_k, u_k+1, u_k+2) feed the normalized quadratic regression.
-    Exact planar-map data is recovered to roundoff with zero residual.
+    Exact planar-map data is recovered to roundoff.
     """
     u = np.asarray(series, dtype=float).ravel()
     if len(u) < 52:
@@ -485,7 +467,7 @@ def _delay_grid() -> tuple[np.ndarray, np.ndarray]:
     return UP.ravel(), UN.ravel()
 
 
-def fit_exact_map(p: RescaledParams) -> RescaledParams:
+def fit_exact_map(p: GhmParams) -> GhmParams:
     """Self-consistency fit: regress on values of the planar map at p itself
     over fit_ghm's seed grid, bypassing the 3D return map."""
     u0, u1 = _delay_grid()
@@ -496,10 +478,11 @@ def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
     """(X, w) seeds of T_n on its attracting manifold at rescaled delay pairs
     (u_prev, u_now): X is the constant-w manifold point
     (I - lam^n A Rot(n phi))^-1 (x_plus + b w_prev) of shape (2, m), with
-    u = T.u_scale * w."""
-    cf = T.config.coeffs
+    u = T.u_scale * w. T is one ReturnMap, or ReturnMap.rows of several with
+    one delay pair a row."""
+    *_, p1, p2, b1, b2 = T._k  # x_plus and b
     w_prev = u_prev / T.u_scale
-    X = _resolvent(T.E, cf.x_plus[0] + cf.b[0] * w_prev, cf.x_plus[1] + cf.b[1] * w_prev)
+    X = _resolvent(T.E, p1 + b1 * w_prev, p2 + b2 * w_prev)
     return np.array(X), u_now / T.u_scale
 
 
@@ -521,13 +504,13 @@ def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int)
         for k in range(returns):
             X, w = T.step(X, w)
             W[:, k + 1] = w
-        U = T.u_scale * W
+        U = np.reshape(T.u_scale, (-1, 1)) * W
         out = ~((np.abs(W[:, 1:]) <= SIGMA_HALF_HEIGHT) & (np.abs(U[:, 1:]) <= U_ESCAPE))
     U[:, 1:][np.logical_or.accumulate(out, axis=1)] = np.nan
     return U
 
 
-def fit_ghm(config: ReturnMapConfig) -> RescaledParams:
+def fit_ghm(config: ReturnMapConfig) -> GhmParams:
     """Fit the rescaled planar map to orbits of the actual return map T_n:
     fit_ghm_windows of the one window, raising its FitError."""
     fit, = fit_ghm_windows([config])
@@ -536,7 +519,7 @@ def fit_ghm(config: ReturnMapConfig) -> RescaledParams:
     return fit
 
 
-def fit_ghm_windows(configs: list[ReturnMapConfig]) -> list[RescaledParams | FitError]:
+def fit_ghm_windows(configs: list[ReturnMapConfig]) -> list[GhmParams | FitError]:
     """fit_ghm of each window, with every window's seed orbits in one T_n batch.
 
     The seeds are fixed: the 5x41 _delay_grid in the rescaled delay pair
@@ -553,13 +536,12 @@ def fit_ghm_windows(configs: list[ReturnMapConfig]) -> list[RescaledParams | Fit
     """
     if not configs:
         return []
-    maps = [ReturnMap(c) for c in configs]
+    k = len(configs)
     up, un = _delay_grid()
-    Xs, ws = zip(*(_manifold_seed(T, up, un) for T in maps))
-    U = _run_return_orbits(ReturnMap.rows(maps, len(up)), np.concatenate(Xs, axis=1),
-                           np.concatenate(ws), FIT_RETURNS)
+    T = ReturnMap.rows([ReturnMap(c) for c in configs], len(up))
+    U = _run_return_orbits(T, *_manifold_seed(T, np.tile(up, k), np.tile(un, k)), FIT_RETURNS)
     fits = []
-    for Uw in np.split(U[:, FIT_DISCARD:], len(maps)):
+    for Uw in np.split(U[:, FIT_DISCARD:], k):
         ok = ~np.isnan(Uw[:, 2:])  # once out, an orbit stays nan: u_k+2 in means all three are
         try:
             if not ok.any():
@@ -623,8 +605,8 @@ class CoexistenceHit:
     phi: float
     n_sink: int
     n_circle: int
-    fit_sink: RescaledParams
-    fit_circle: RescaledParams
+    fit_sink: GhmParams
+    fit_circle: GhmParams
     verdict_sink: AttractorClass
     verdict_circle: AttractorClass
     sigma_center_sink: float
@@ -696,22 +678,13 @@ def coexistence_search(
         box = CoexistenceBox()
     sp, cf = spectrum, coeffs
     j1 = tangency_jacobian(cf)
-    lg = sp.lam * sp.gamma
     ns, nc = n_sink, n_circle
-
-    def window_terms(n, phi):  # B = -(lam gamma)^n c.Rot(n phi).b and mu0_n, from one _x_recursion
-        try:
-            amp = lg**n
-        except OverflowError:
-            raise ValueError(f"(lam*gamma)^n overflows at return index n={n}") from None
-        E, r = _x_recursion(sp, cf, n, phi)
-        return -amp * (r[0] * cf.b[0] + r[1] * cf.b[1]), _base_mu(sp, cf, n, E, r)
 
     # each chunk keeps only its survivors' columns, in scan order; every
     # step is elementwise, so a survivor's bits do not depend on its chunk
     survivors = [np.empty((0, 8))]
     for chunk in _phi_chunks(box):
-        (B_s, mu0_s), (B_c, mu0_c) = window_terms(ns, chunk), window_terms(nc, chunk)
+        (B_s, mu0_s), (B_c, mu0_c) = (window_terms(sp, cf, n, chunk) for n in (ns, nc))
         R_s, R_c = _window_r(sp, j1, ns, B_s), _window_r(sp, j1, nc, B_c)
 
         # circle side: inside the Lphi band (|B-1| strictly within the band the
@@ -772,8 +745,8 @@ def coexistence_search(
                 continue
             cfg_s = ReturnMapConfig(sp, replace(cf, mu=mu_i), ns, phi)
             fit_s = fit_ghm(cfg_s)
-            verdict_s = classify(fit_s.as_ghm())
-            verdict_c = classify(fit_c.as_ghm())
+            verdict_s = classify(fit_s)
+            verdict_c = classify(fit_c)
             rec["verdict_sink"] = verdict_s.verdict
             rec["verdict_circle"] = verdict_c.verdict
             if verdict_s.verdict != "sink" or verdict_c.verdict != "circle":

@@ -139,18 +139,16 @@ def test_fit_circle_on_synthetic_ellipse():
     k = np.arange(6000)
     t = 2.0 * math.pi * 0.23 * k
     pts = np.column_stack([2.0 + 0.8 * np.cos(t), -1.0 + 0.5 * np.sin(t)])
-    rep = fit_invariant_circle(pts)
+    rep = fit_invariant_circle(pts, GhmParams(0.0, 0.0))
     assert abs(rep.center[0] - 2.0) < 1e-2 and abs(rep.center[1] + 1.0) < 1e-2
     assert 0.5 < rep.mean_radius < 0.8
-    assert rep.radial_deviation > 0.05  # genuinely elliptic
-    assert abs(rep.rotation_number - 0.23) < 1e-3
-    assert rep.invariance_residual is None
+    assert abs(attractor_classifier._rotation_number(pts - rep.center) - 0.23) < 1e-3
 
     # rotation number is folded into (0, 0.5): 0.77 and 0.23 are the same loop
     t = 2.0 * math.pi * 0.77 * k
     pts = np.column_stack([np.cos(t), np.sin(t)])
-    rep = fit_invariant_circle(pts)
-    assert abs(rep.rotation_number - 0.23) < 1e-3
+    rep = fit_invariant_circle(pts, GhmParams(0.0, 0.0))
+    assert abs(attractor_classifier._rotation_number(pts - rep.center) - 0.23) < 1e-3
 
 
 def test_fit_circle_rejects_gappy_and_short_input():
@@ -158,9 +156,9 @@ def test_fit_circle_rejects_gappy_and_short_input():
     t = 2.0 * math.pi * (k % 7) / 7.0  # period-7 cluster, 51 deg gaps
     pts = np.column_stack([np.cos(t), np.sin(t)])
     with pytest.raises(NotACircleError):
-        fit_invariant_circle(pts)
+        fit_invariant_circle(pts, GhmParams(0.0, 0.0))
     with pytest.raises(ValueError):
-        fit_invariant_circle(pts[:1999])
+        fit_invariant_circle(pts[:1999], GhmParams(0.0, 0.0))
 
 
 def test_rotation_number_is_none_where_the_increments_change_sign():
@@ -173,8 +171,8 @@ def test_rotation_number_is_none_where_the_increments_change_sign():
     t = 2.0 * math.pi * rho * k
     pts = np.column_stack([np.where(k % 2, -2.0, 2.0) + np.cos(t), np.sin(t)])
     assert attractor_classifier._rotation_number(pts - (2.0, 0.0)) is None
-    rep = fit_invariant_circle(pts[::2])
-    assert abs(rep.rotation_number - 2.0 * rho) < 1e-6
+    rep = fit_invariant_circle(pts[::2], GhmParams(0.0, 0.0))
+    assert abs(attractor_classifier._rotation_number(pts[::2] - rep.center) - 2.0 * rho) < 1e-6
 
 
 def test_circle_rotation_is_the_maps_own_at_map_power_three():

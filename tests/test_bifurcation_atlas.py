@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,16 @@ def test_validate_sample_rejects_corruption():
         validate_sample(bad)
     with pytest.raises(ValueError):
         validate_sample(CurveSample("Lfold", 0.0, 0.0, 0.0, 0.0))
+
+
+def test_validate_sample_rejects_under_python_O():
+    # python -O strips assert statements; the check must not depend on them
+    code = ("from ghmlab.bifurcation_atlas import CurveSample, validate_sample\n"
+            "try:\n    validate_sample(CurveSample('Lplus', 0.0, 123.0, 0.0, 0.0))\n"
+            "except AssertionError:\n    print('rejected')")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "rejected", out.stderr
 
 
 def test_organizing_points_at_R_zero_exact():

@@ -33,6 +33,7 @@ _SPECTRUM = _mostly(st.just((0.7, 1.8)), st.tuples(st.one_of(st.floats(0.0, 1.5)
 _N_LIST = _mostly(st.lists(st.integers(4, 20), min_size=1, max_size=3),
                   st.lists(st.integers(-2, 120), min_size=1, max_size=3)).map(
     lambda ns: ",".join(map(str, ns)))
+_HUGE_N = "1" + "0" * 400  # too large to convert to a float
 # sweep bounds (lo, hi) of one axis and its cell count in -1..3
 _AXIS = _mostly(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)).map(sorted),
                 st.tuples(_REALS, _REALS))
@@ -100,6 +101,7 @@ def test_curves_exit_codes_hold_for_any_real_input(R, samples):
 
 @_SETTINGS
 @given(n=_N_LIST, M=_TARGET, B=_TARGET, spectrum=_SPECTRUM)
+@example(n=_HUGE_N, M=1.0, B=0.5, spectrum=(0.7, 1.8))  # once an OverflowError traceback
 def test_window_exit_codes_hold_for_any_real_input(n, M, B, spectrum):
     code, out = _run(["window", "--n", n, _real("--target-m", M), _real("--target-b", B),
                       _real("--lambda", spectrum[0]), _real("--gamma", spectrum[1])])
@@ -109,6 +111,7 @@ def test_window_exit_codes_hold_for_any_real_input(n, M, B, spectrum):
 
 @_SETTINGS
 @given(n=_N_LIST, M=_TARGET, B=_TARGET, spectrum=_SPECTRUM)
+@example(n=_HUGE_N, M=1.0, B=0.5, spectrum=(0.7, 1.8))  # once an OverflowError traceback
 def test_rescale_exit_codes_hold_for_any_real_input(n, M, B, spectrum):
     code, out = _run(["rescale", "--n", n, _real("--target-m", M), _real("--target-b", B),
                       _real("--lambda", spectrum[0]), _real("--gamma", spectrum[1])])

@@ -55,3 +55,40 @@ def test_every_export_has_a_user():
                 if not (exports[name] == path.stem and node.lineno in own.get(name, ())):
                     used.add(name)
     assert sorted(exports.keys() - used - ORACLE) == []
+
+
+# fields that fixed_points and organizing_points report for the caller to
+# read; the acceptance tests read them, and no command needs them
+REPORTED = {"FixedPointReport.point", "FixedPointReport.multipliers",
+            "OrganizingPoint.kind", "OrganizingPoint.location"}
+
+
+def _members(tree: ast.Module):
+    """(class, member name, class line span) of each field and property of
+    each dataclass in a module."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+            span = range(node.lineno, node.end_lineno + 1)
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, span
+                elif isinstance(item, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list):
+                    yield node.name, item.name, span
+
+
+def test_every_dataclass_field_has_a_reader():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    files += sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    reads = [(node.attr, path, node.lineno) for path, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name, span in _members(trees[path]):
+            if not any(attr == name and not (where == path and line in span)
+                       for attr, where, line in reads):
+                unread.add(f"{cls}.{name}")
+    assert sorted(unread - REPORTED) == []
+    assert sorted(REPORTED - unread) == []  # an entry with a reader leaves the list
