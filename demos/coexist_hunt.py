@@ -46,6 +46,6 @@ for n, label in ((10, "sink"), (14, "circle")):
     assert tail is not None, f"T_{n} orbit left sigma_{n}"
     # u = -d gamma^n w and w = gamma^n y - y_minus, so the half-width
     # h gamma^-n of sigma_n in y is |d| gamma^n h in u
-    spread = (tail.max() - tail.min()) / (abs(cf.d) * ReturnMap(cfg).gn * SIGMA_HALF_HEIGHT)
+    spread = (tail.max() - tail.min()) / (abs(cf.d) * ReturnMap([cfg]).gn[0] * SIGMA_HALF_HEIGHT)
     print(f"T_{n} ({label}): 400 returns stay in sigma_{n}; "
           f"tail spread {spread:.3e} of the half-width")

@@ -267,7 +267,9 @@ def _cmd_sweep(args) -> int:
     o = _options(args, "sweep")
     m_min, m_max, b_min, b_max, nx, ny, R = (
         o[k] for k in ("m_min", "m_max", "b_min", "b_max", "nx", "ny", "r"))
-    grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R, threads=o["threads"])
+    if o["threads"] < 1:
+        raise ValueError("threads must be >= 1")
+    grid = sweep(m_min, m_max, b_min, b_max, nx, ny, R)
     Ms, Bs = grid.axes
     lines = ["M,B,R,class,period,lyap1,lyap2,rotation"]
     for j in range(ny):

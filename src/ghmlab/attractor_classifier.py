@@ -28,7 +28,7 @@ stacked image of the tangent vector per block; each keeps every
 operation and its operand order, so the bits are the per-step ones. On
 the Henon plane, R = +-0 with no cell at M = +-0, the steps drop the term
 (R*x)*y, a signed zero at every finite state that leaves the step's bits
-as they are: 3 calls a step, not 5.5. A record that leaves the finite
+as they are: 3 calls a step. A record that leaves the finite
 doubles is stepped again with the term, whose 0*inf turns infs into nan.
 """
 
@@ -305,7 +305,7 @@ def _window(x, y, M, B, R, w):
     step, so one call forms B*x for both (into their output rows), one
     M - B*x and one R*x, all against (2, n) copies of M, B and R (a Python
     float operand costs more per call than an array). Each step then makes
-    its own y*y and (R*x)*y calls: 5.5 calls a step, not 7, and 3 without
+    its own y*y and (R*x)*y calls: 5.5 calls a step, and 3 without
     the term. An odd w's last pair holds one row."""
     shape = (w + 2,) + np.shape(x)
     if np.size(x) == 1:
@@ -465,7 +465,7 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
             E = np.empty(N.shape, dtype=np.intc)
             # (v1, v2) is held twice, so one same-shape call forms (p v1, q v2,
             # r v1, t v2) from a block's stacked (p, q, r, t): a broadcast
-            # operand costs about twice a same-shape one. 9 calls, not 13
+            # operand costs about twice a same-shape one. 9 calls a block
             vv = np.concatenate((tan, tan))
             tan, again = vv[:2], vv[2:]  # tan is rescaled in place
             pv = np.empty((4, m))
@@ -700,7 +700,7 @@ def classify(p: GhmParams, opts: ClassifyOptions | None = None, s0: State2 | Non
 
 
 def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: int, R: float,
-          opts: ClassifyOptions | None = None, threads: int = 1) -> SweepGrid:
+          opts: ClassifyOptions | None = None) -> SweepGrid:
     """Classify every cell of the inclusive (M, B) grid; row-major by B then M.
 
     All nx*ny cells run through the same recorded orbit windows, compacted
@@ -708,15 +708,12 @@ def sweep(m_min: float, m_max: float, b_min: float, b_max: float, nx: int, ny: i
     cell, so each cell is classify's verdict at its point, bit for bit.
     ValueError for a grid below 2x2 or above MAX_GRID_CELLS cells, bounds,
     R, width or height that are not finite, and an empty rectangle (m_min
-    >= m_max or b_min >= b_max). threads (>= 1) has no effect on output or speed: the
-    cost is per numpy call, not per cell.
+    >= m_max or b_min >= b_max).
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
     if nx * ny > MAX_GRID_CELLS:
         raise ValueError(f"a {nx}x{ny} grid exceeds the cap of {MAX_GRID_CELLS} cells")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if not all(math.isfinite(v) for v in (m_min, m_max, b_min, b_max, R)):
         raise ValueError("grid bounds and R must be finite")
     if not (math.isfinite(m_max - m_min) and math.isfinite(b_max - b_min)):

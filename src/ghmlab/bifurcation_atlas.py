@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .ghm_core import GhmParams, fixed_points, trace_det
 
-CURVE_IDS = ("Lplus", "Lminus", "Lphi", "Lneutral")
 MAX_SAMPLES = 10**6  # trace_curves refuses more samples per curve
 FORMULA_TOL = 1e-12  # validate_sample's relative bar on the curve formulas
 MULT_TOL = 1e-10  # its absolute bar on the designated fixed point's trace and det
@@ -112,17 +111,35 @@ def lphi_band(R, margin):
     return margin * abs(R) / abs(1.0 + R / 2.0)
 
 
+# Each curve once, in CURVE_IDS order: its i-th parameter of S, its (M, B) at
+# (parameter, R), its designated fixed point x at (parameter, B, R), and the
+# identity its multipliers satisfy there, given (trace, det, parameter)
+_CURVES = {
+    "Lplus": (lambda i, S: -3.0 + 6.0 * i / (S - 1), lambda B, R: (curve_L_plus(B, R), B),
+              lambda _, B, R: -(1.0 + B) / (2.0 * (1.0 + R)),
+              lambda tr, det, _: abs(1.0 - tr + det) <= MULT_TOL),  # +1 is a root of m^2 - tr m + det
+    "Lminus": (lambda i, S: -3.0 + 6.0 * i / (S - 1), lambda B, R: (curve_L_minus(B, R), B),
+               lambda _, B, R: (1.0 + B) / 2.0,
+               lambda tr, det, _: abs(1.0 + tr + det) <= MULT_TOL),  # -1 is a root
+    "Lphi": (lambda i, S: math.pi * (i + 1) / (S + 1), curve_L_phi,
+             lambda om, _, R: -2.0 * math.cos(om) / (2.0 + R),
+             lambda tr, det, om: abs(det - 1.0) <= MULT_TOL and abs(tr - 2.0 * math.cos(om)) <= MULT_TOL),
+    "Lneutral": (lambda i, S: 1.0 + 2.0 * (i + 1) / S, curve_L_neutral,
+                 lambda al, _, R: -2.0 * al / (2.0 + R),
+                 lambda tr, det, _: abs(det - 1.0) <= MULT_TOL and tr > 2.0),  # a real positive pair
+}
+CURVE_IDS = tuple(_CURVES)
+
+
+def _curve(sample: CurveSample):
+    if sample.curve_id not in _CURVES:
+        raise ValueError(f"unknown curve id {sample.curve_id!r}")
+    return _CURVES[sample.curve_id]
+
+
 def designated_fixed_point(sample: CurveSample) -> float:
     """x-coordinate of the fixed point whose multipliers define the curve."""
-    if sample.curve_id == "Lplus":
-        return -(1.0 + sample.B) / (2.0 * (1.0 + sample.R))
-    if sample.curve_id == "Lminus":
-        return (1.0 + sample.B) / 2.0
-    if sample.curve_id == "Lphi":
-        return -2.0 * math.cos(sample.parameter) / (2.0 + sample.R)
-    if sample.curve_id == "Lneutral":
-        return -2.0 * sample.parameter / (2.0 + sample.R)
-    raise ValueError(f"unknown curve id {sample.curve_id!r}")
+    return _curve(sample)[2](sample.parameter, sample.B, sample.R)
 
 
 def organizing_points(R: float) -> tuple[OrganizingPoint, OrganizingPoint]:
@@ -161,21 +178,8 @@ def trace_curves(R: float, samples_per_curve: int) -> list[CurveSample]:
         raise ValueError(f"need 2 to {MAX_SAMPLES} samples per curve")
     if not math.isfinite(R):
         raise ValueError("R must be finite")
-    out: list[CurveSample] = []
-    for i in range(S):
-        B = -3.0 + 6.0 * i / (S - 1)
-        out.append(CurveSample("Lplus", B, curve_L_plus(B, R), B, R))
-    for i in range(S):
-        B = -3.0 + 6.0 * i / (S - 1)
-        out.append(CurveSample("Lminus", B, curve_L_minus(B, R), B, R))
-    for i in range(S):
-        om = math.pi * (i + 1) / (S + 1)
-        M, B = curve_L_phi(om, R)
-        out.append(CurveSample("Lphi", om, M, B, R))
-    for i in range(S):
-        al = 1.0 + 2.0 * (i + 1) / S
-        M, B = curve_L_neutral(al, R)
-        out.append(CurveSample("Lneutral", al, M, B, R))
+    out = [CurveSample(cid, par, *mb(par, R), R) for cid, (param, mb, *_) in _CURVES.items()
+           for par in (param(i, S) for i in range(S))]
     if not all(math.isfinite(s.M) and math.isfinite(s.B) for s in out):
         raise ValueError(f"R={R!r} puts curve samples out of floating-point range")
     return out
@@ -184,26 +188,10 @@ def trace_curves(R: float, samples_per_curve: int) -> list[CurveSample]:
 def validate_sample(sample: CurveSample) -> None:
     """Raise AssertionError unless the sample satisfies its defining identities
     (explicitly, so the check holds under python -O too)."""
-    cid, par, R = sample.curve_id, sample.parameter, sample.R
-    if cid == "Lplus":
-        ok = abs(sample.M - curve_L_plus(sample.B, R)) <= FORMULA_TOL * max(1.0, abs(sample.M))
-    elif cid == "Lminus":
-        ok = abs(sample.M - curve_L_minus(sample.B, R)) <= FORMULA_TOL * max(1.0, abs(sample.M))
-    elif cid in ("Lphi", "Lneutral"):
-        M, B = (curve_L_phi if cid == "Lphi" else curve_L_neutral)(par, R)
-        ok = (abs(sample.M - M) <= FORMULA_TOL * max(1.0, abs(M))
-              and abs(sample.B - B) <= FORMULA_TOL * max(1.0, abs(B)))
-    else:
-        raise ValueError(f"unknown curve id {cid!r}")
-
+    _, mb, _, identity = _curve(sample)
+    par, R = sample.parameter, sample.R
+    M, B = mb(par, R)  # for Lplus and Lminus the parameter is B itself
     tr, det = trace_det(designated_fixed_point(sample), sample.B, R)
-    if cid == "Lplus":
-        ok = ok and abs(1.0 - tr + det) <= MULT_TOL  # +1 is a root of m^2 - tr m + det
-    elif cid == "Lminus":
-        ok = ok and abs(1.0 + tr + det) <= MULT_TOL  # -1 is a root
-    elif cid == "Lphi":
-        ok = ok and abs(det - 1.0) <= MULT_TOL and abs(tr - 2.0 * math.cos(par)) <= MULT_TOL
-    else:
-        ok = ok and abs(det - 1.0) <= MULT_TOL and tr > 2.0  # a real positive pair
-    if not ok:
-        raise AssertionError(f"{cid} sample at parameter {par!r} fails its defining identities")
+    if not (abs(sample.M - M) <= FORMULA_TOL * max(1.0, abs(M))
+            and abs(sample.B - B) <= FORMULA_TOL * max(1.0, abs(B)) and identity(tr, det, par)):
+        raise AssertionError(f"{sample.curve_id} sample at parameter {par!r} fails its defining identities")

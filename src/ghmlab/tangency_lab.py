@@ -22,7 +22,7 @@ takes it, so fitted parameters are comparable with the leading-order ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,6 +185,15 @@ def tangency_jacobian(coeffs: GlobalMapCoeffs) -> float:
     return float(np.linalg.det(m))
 
 
+def _power(x: float, n: int) -> float:
+    """x**n for a return index's power n, or ValueError when it is out of
+    floating-point range."""
+    try:
+        return x**n
+    except OverflowError:
+        raise ValueError(f"{x!r}**{n} is out of floating-point range") from None
+
+
 def _x_recursion(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi):
     """Entries (e11, e12, e21, e22) of the x-recursion matrix E = lam^n A Rot(n phi)
     and (r1, r2) of c.Rot(n phi), elementwise in phi (a float or an array)."""
@@ -206,37 +215,28 @@ def _resolvent(E, r1, r2):
 
 
 class ReturnMap:
-    """T_n = T1 o T0^n restricted to the sigma_n slice.
+    """T_n = T1 o T0^n restricted to the sigma_n slice, for a batch of windows.
 
     T0^n is applied in closed form (lam^n Rot(n phi), gamma^n); the
-    composition is exact, not n substeps. step() is the batched map in
-    (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n is |w| <= h;
-    it is elementwise, so an orbit's bits do not depend on its batch, and
-    rows() runs the orbits of several maps as one batch. u_scale = -d gamma^n
-    gives the rescaled coordinate u = u_scale * w.
+    composition is exact, not n substeps. The batch holds m rows per config,
+    in order: each coefficient of step, gn = gamma^n and u_scale = -d gamma^n
+    is a column holding each window's value on its own rows. step() is the
+    batched map in (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n
+    is |w| <= h; it is elementwise, so an orbit's bits do not depend on its
+    batch. u = u_scale * w is the rescaled coordinate.
     """
 
-    def __init__(self, config: ReturnMapConfig):
-        sp, cf, n = config.spectrum, config.coeffs, config.n
-        self.gn = sp.gamma**n
-        self.u_scale = -cf.d * self.gn
-        self.E, (r1, r2) = _x_recursion(sp, cf, n, config.phi)
-        gl = self.gn * sp.lam**n
-        self._k = (self.gn * cf.mu - cf.y_minus, self.gn * cf.d, gl * r1, gl * r2,
-                   *cf.x_plus, *cf.b)
-
-    @classmethod
-    def rows(cls, maps: list[ReturnMap], m: int) -> ReturnMap:
-        """The maps' orbits as one batch of m rows per map, in order: each
-        coefficient of step, and u_scale, becomes a column holding each map's
-        value on its own rows, so every row gets its own map's bits. Only
-        step, u_scale and _manifold_seed are meant for the result."""
-        T = cls.__new__(cls)
-        col = lambda *v: np.repeat(v, m)  # noqa: E731
-        T.E = tuple(map(col, *(t.E for t in maps)))
-        T._k = tuple(map(col, *(t._k for t in maps)))
-        T.u_scale = col(*(t.u_scale for t in maps))
-        return T
+    def __init__(self, configs: list[ReturnMapConfig], m: int = 1):
+        cols = []
+        for c in configs:
+            sp, cf, n = c.spectrum, c.coeffs, c.n
+            gn = _power(sp.gamma, n)
+            E, (r1, r2) = _x_recursion(sp, cf, n, c.phi)
+            gl = gn * sp.lam**n
+            cols.append((gn, -cf.d * gn, *E, gn * cf.mu - cf.y_minus, gn * cf.d, gl * r1, gl * r2,
+                         *cf.x_plus, *cf.b))
+        self.gn, self.u_scale, *k = (np.repeat(v, m) for v in zip(*cols))
+        self.E, self._k = tuple(k[:4]), tuple(k[4:])
 
     def step(self, X, w):
         """One return of x-parts X = (x1, x2) and exit-box coordinates w, each (m,)."""
@@ -257,10 +257,7 @@ def window_terms(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi)
     value mu0_n = gamma^-n y_minus - lam^n c.Rot(n phi).Xc at which the
     window is centered, Xc = (I - lam^n A Rot(n phi))^-1 x_plus the fixed
     point of the x-recursion. ValueError when (lam gamma)^n overflows."""
-    try:
-        amp = (spectrum.lam * spectrum.gamma) ** n
-    except OverflowError:
-        raise ValueError(f"(lam*gamma)^n overflows at return index n={n}") from None
+    amp = _power(spectrum.lam * spectrum.gamma, n)
     E, (r1, r2) = _x_recursion(spectrum, coeffs, n, phi)
     x1, x2 = _resolvent(E, *coeffs.x_plus)
     return (-amp * (r1 * coeffs.b[0] + r2 * coeffs.b[1]),
@@ -300,11 +297,8 @@ def window_mb(spectrum: SaddleSpectrum, mu: float, phi: float, n: int) -> tuple[
     """Leading-order (M, B) = (gamma^2n mu, (lam gamma)^n cos(n phi)) of
     window n, the forward map that window_invert inverts. ValueError when
     gamma^2n overflows."""
-    try:
-        return (spectrum.gamma ** (2 * n) * mu,
-                (spectrum.lam * spectrum.gamma) ** n * math.cos(n * phi))
-    except OverflowError:
-        raise ValueError(f"gamma^2n overflows at return index n={n}") from None
+    return (_power(spectrum.gamma, 2 * n) * mu,
+            _power(spectrum.lam * spectrum.gamma, n) * math.cos(n * phi))
 
 
 def window_invert(spectrum: SaddleSpectrum, n: int,
@@ -324,15 +318,11 @@ def window_invert(spectrum: SaddleSpectrum, n: int,
         raise ValueError("target must lie in (-10, 10)^2")
     if math.hypot(M, B) < EXCLUDED_RADIUS:
         raise ValueError(f"target inside the excluded ball of radius {EXCLUDED_RADIUS:g}")
-    try:
-        v = B * (spectrum.lam * spectrum.gamma) ** (-n)
-    except OverflowError:  # n too large to be a float
-        raise ValueError(f"(lam*gamma)^-n is out of range at return index n={n}") from None
+    lg = spectrum.lam * spectrum.gamma
+    v = B * _power(lg, -n)
     if abs(v) > 1.0:
-        raise ValueError(
-            f"|B|={abs(B):.6g} exceeds (lam*gamma)^n={(spectrum.lam * spectrum.gamma) ** n:.6g}; "
-            f"unreachable at n={n}"
-        )
+        raise ValueError(f"|B|={abs(B):.6g} exceeds (lam*gamma)^n={_power(lg, n):.6g}; "
+                         f"unreachable at n={n}")
     # acos lands in [0, pi], which is exactly the branch nearest pi/2
     phi = math.acos(v) / n
     mu = M * spectrum.gamma ** (-2 * n)
@@ -360,12 +350,12 @@ def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
     c, b = coeffs.c, coeffs.b
     dot, cross = float(c @ b), c[1] * b[0] - c[0] * b[1]  # c^T Rot(t) b = dot cos t + cross sin t
     K, chi = math.hypot(dot, cross), math.atan2(cross, dot)  # = K cos(t - chi)
-    lg = spectrum.lam * spectrum.gamma
-    v = -B_t / (K * lg**n)
+    amp = K * _power(spectrum.lam * spectrum.gamma, n)
+    v = -B_t / amp
     if abs(v) > 1.0:
         raise ValueError(
             f"|B|={abs(B_t):.6g} exceeds the model amplitude K*(lam*gamma)^n="
-            f"{K * lg**n:.6g}; unreachable at n={n}"
+            f"{amp:.6g}; unreachable at n={n}"
         )
     a = math.acos(v)
     cands = [chi + s * a + 2.0 * math.pi * k for s in (1.0, -1.0) for k in (-1, 0, 1)]
@@ -375,7 +365,7 @@ def mount_window(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int,
     theta = min(cands, key=lambda t: abs(t - math.pi / 2.0))
     phi = theta / n
     mu = float(window_terms(spectrum, coeffs, n, phi)[1]
-               - M_t / (coeffs.d * spectrum.gamma ** (2 * n)))
+               - M_t / (coeffs.d * _power(spectrum.gamma, 2 * n)))
     return ReturnMapConfig(spectrum, replace(coeffs, mu=mu), n, phi)
 
 
@@ -478,8 +468,7 @@ def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
     """(X, w) seeds of T_n on its attracting manifold at rescaled delay pairs
     (u_prev, u_now): X is the constant-w manifold point
     (I - lam^n A Rot(n phi))^-1 (x_plus + b w_prev) of shape (2, m), with
-    u = T.u_scale * w. T is one ReturnMap, or ReturnMap.rows of several with
-    one delay pair a row."""
+    u = T.u_scale * w, one delay pair a row of T."""
     *_, p1, p2, b1, b2 = T._k  # x_plus and b
     w_prev = u_prev / T.u_scale
     X = _resolvent(T.E, p1 + b1 * w_prev, p2 + b2 * w_prev)
@@ -488,9 +477,8 @@ def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
 
 def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int) -> np.ndarray:
     """u-history, shape (m, returns + 1), of T_n orbits from m seeds in (x, w)
-    coordinates, with u = T.u_scale * w and the seeds in column 0. T is one
-    ReturnMap, or ReturnMap.rows of several, whose windows then share this
-    one loop of steps.
+    coordinates, with u = T.u_scale * w and the seeds in column 0. All of
+    T's windows share this one loop of steps.
 
     An orbit is in the window until its first return outside sigma_n
     (|w| > h) or the rescaled window (|u| > U_ESCAPE); from that return on its
@@ -525,7 +513,7 @@ def fit_ghm_windows(configs: list[ReturnMapConfig]) -> list[GhmParams | FitError
     The seeds are fixed: the 5x41 _delay_grid in the rescaled delay pair
     (u_prev, u_now), put on the attracting 2D manifold of each window's T_n
     inside sigma_n by _manifold_seed. All seeds of all windows are iterated
-    FIT_RETURNS times together (ReturnMap.rows; step is elementwise, so a
+    FIT_RETURNS times together (one ReturnMap; step is elementwise, so a
     window's orbits are the bits it gets alone), and each orbit's first
     FIT_DISCARD returns are dropped (transversal collapse onto the manifold is
     one factor lam^n per return, so a handful suffices; long discards would
@@ -538,7 +526,7 @@ def fit_ghm_windows(configs: list[ReturnMapConfig]) -> list[GhmParams | FitError
         return []
     k = len(configs)
     up, un = _delay_grid()
-    T = ReturnMap.rows([ReturnMap(c) for c in configs], len(up))
+    T = ReturnMap(configs, len(up))
     U = _run_return_orbits(T, *_manifold_seed(T, np.tile(up, k), np.tile(un, k)), FIT_RETURNS)
     fits = []
     for Uw in np.split(U[:, FIT_DISCARD:], k):
@@ -611,7 +599,6 @@ class CoexistenceHit:
     verdict_circle: AttractorClass
     sigma_center_sink: float
     sigma_center_circle: float
-    evidence: dict = field(default_factory=dict, compare=False)
 
 
 def _phi_chunks(box: CoexistenceBox):
@@ -630,7 +617,7 @@ def _phi_chunks(box: CoexistenceBox):
 def _orbit_tail(config: ReturnMapConfig, returns: int, keep: int) -> np.ndarray | None:
     """Last `keep` u-values of one T_n orbit seeded on the manifold at u = 0,
     or None when it leaves sigma_n or the rescaled window within `returns`."""
-    T = ReturnMap(config)
+    T = ReturnMap([config])
     u = np.zeros(1)
     tail = _run_return_orbits(T, *_manifold_seed(T, u, u), returns)[0, -keep:]
     return None if np.isnan(tail[-1]) else tail
@@ -679,6 +666,10 @@ def coexistence_search(
     sp, cf = spectrum, coeffs
     j1 = tangency_jacobian(cf)
     ns, nc = n_sink, n_circle
+    # d*gamma^(2n) of each window: dM/dmu is exactly its negative, since mu
+    # enters the second-return value additively; the prefilter and the
+    # Newton step below both move mu by it
+    dg_s, dg_c = (cf.d * _power(sp.gamma, 2 * n) for n in (ns, nc))
 
     # each chunk keeps only its survivors' columns, in scan order; every
     # step is elementwise, so a survivor's bits do not depend on its chunk
@@ -704,8 +695,8 @@ def coexistence_search(
         if not ok.any():
             continue
 
-        mu_cand = mu0_c - M_c / (cf.d * sp.gamma ** (2 * nc))
-        M_s = -cf.d * sp.gamma ** (2 * ns) * (mu_cand - mu0_s)
+        mu_cand = mu0_c - M_c / dg_c
+        M_s = -dg_s * (mu_cand - mu0_s)
         ok &= np.abs(M_s) <= box.m_sink_max
         survivors.append(np.stack(
             [a[ok] for a in (chunk, mu_cand, M_s, B_s, M_c, B_c, R_c, R_s)], axis=1))
@@ -726,21 +717,19 @@ def coexistence_search(
                 rec["reject"] = "sink window outside stability domain"
                 continue
             # Newton on mu pins the FITTED circle-window M at birth + offset,
-            # cancelling the fit-gauge bias in M; dM_fit/dmu = -d*gamma^(2 nc)
-            # exactly, since mu enters the second-return value additively
-            fit_c = None
+            # cancelling the fit-gauge bias in M
             dM = math.inf
             for _ in range(4):
                 cfg_c = ReturnMapConfig(sp, replace(cf, mu=mu_i), nc, phi)
                 fit_c = fit_ghm(cfg_c)
-                if not (math.isfinite(fit_c.R) and fit_c.R > 0.0):
+                if not fit_c.R > 0.0:
                     break
                 dM = (lphi_m(fit_c.B, fit_c.R) + box.m_circle_offset) - fit_c.M
                 if abs(dM) < 1e-3:
                     break
-                mu_i -= dM / (cf.d * sp.gamma ** (2 * nc))
+                mu_i -= dM / dg_c
             rec["mu"] = mu_i
-            if not (math.isfinite(dM) and abs(dM) < 1e-3 and fit_c.R > 0.0):
+            if not (abs(dM) < 1e-3 and fit_c.R > 0.0):
                 rec["reject"] = "circle window could not be pinned past birth"
                 continue
             cfg_s = ReturnMapConfig(sp, replace(cf, mu=mu_i), ns, phi)
@@ -775,6 +764,5 @@ def coexistence_search(
             verdict_circle=verdict_c,
             sigma_center_sink=cfg_s.sigma_center,
             sigma_center_circle=cfg_c.sigma_center,
-            evidence=rec,
         )
     return None

@@ -93,6 +93,14 @@ def test_sweep_grid_rows_and_thread_independence(capsys):
     assert out8 == out1
 
 
+def test_sweep_rejects_threads_below_one(capsys):
+    # --threads has no effect, but the command line still holds it to >= 1
+    code, out, err = run(capsys, "sweep", "--m-min", "-0.5", "--m-max", "0", "--b-min", "0",
+                         "--b-max", "0.5", "--nx", "2", "--ny", "2", "--threads", "0")
+    assert (code, out) == (3, "")
+    assert "threads must be >= 1" in err
+
+
 def test_sweep_svg_render(tmp_path, capsys):
     svg = tmp_path / "grid.svg"
     code, out, _ = run(

@@ -259,13 +259,6 @@ def test_sweep_layout_and_agreement_with_classify():
             assert cell.period == ref.period
 
 
-def test_sweep_thread_count_does_not_change_cells():
-    opts = ClassifyOptions(burn_in=3000, span=2000, max_period=32, circle_points=2000)
-    g1 = sweep(-0.5, 1.0, -0.4, 0.4, 4, 3, 0.0, opts=opts, threads=1)
-    g3 = sweep(-0.5, 1.0, -0.4, 0.4, 4, 3, 0.0, opts=opts, threads=3)
-    assert g1.cells == g3.cells
-
-
 def test_sweep_rejects_degenerate_grid(monkeypatch):
     with pytest.raises(ValueError):
         sweep(0.0, 1.0, 0.0, 1.0, 1, 5, 0.0)
@@ -393,9 +386,7 @@ def test_sweep_rejects_empty_rectangle():
             sweep(*bounds, 3, 3, 0.0)
 
 
-def test_sweep_rejects_bad_threads_and_non_finite_input():
-    with pytest.raises(ValueError):
-        sweep(0.0, 1.0, 0.0, 1.0, 2, 2, 0.0, threads=0)
+def test_sweep_rejects_non_finite_input():
     for bad in ((math.nan, 1.0, 0.0, 1.0, 0.0), (0.0, math.inf, 0.0, 1.0, 0.0),
                 (0.0, 1.0, 0.0, 1.0, math.nan)):
         with pytest.raises(ValueError):

@@ -103,6 +103,16 @@ def test_validate_sample_rejects_corruption():
         validate_sample(CurveSample("Lfold", 0.0, 0.0, 0.0, 0.0))
 
 
+def test_validate_sample_holds_fold_and_flip_parameters_to_B():
+    # the fold and flip curves are parametrized by B itself, so a sample whose
+    # parameter is not its B fails, though its M, B and R lie on the curve
+    for s in trace_curves(0.1, 5):
+        if s.curve_id in ("Lplus", "Lminus"):
+            validate_sample(s)
+            with pytest.raises(AssertionError):
+                validate_sample(CurveSample(s.curve_id, s.parameter + 0.5, s.M, s.B, s.R))
+
+
 def test_validate_sample_rejects_under_python_O():
     # python -O strips assert statements; the check must not depend on them
     code = ("from ghmlab.bifurcation_atlas import CurveSample, validate_sample\n"

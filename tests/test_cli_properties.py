@@ -133,17 +133,26 @@ def _coexist_value(key):
 _COEXIST_CONFIG = st.lists(st.sampled_from(_COEXIST_KEYS), max_size=3, unique=True).flatmap(
     lambda keys: st.fixed_dictionaries({"phi_steps": st.integers(-2, 300),
                                         **{k: _coexist_value(k) for k in keys}}))
+# --n-sink or --n-circle, or neither: small, or where gamma^2n (n >= 604 at
+# gamma = 1.8) or (lam*gamma)^n (n >= 3072) leaves the doubles
+_N_FLAG = st.none() | st.integers(-2, 20) | st.integers(590, 3100)
+_LOOSE_CIRCLE_SIDE = {"b_circle_lo": -1e308, "b_circle_hi": 1e308, "lphi_band_margin": 1e300}
 
 
 @_SETTINGS
-@given(cfg=_COEXIST_CONFIG)
-@example(cfg={"phi_steps": 200, "lphi_band_margin": 1e308})  # once overflowed with a warning
-@example(cfg={"phi_steps": 200, "phi_lo": 3.0, "phi_hi": 0.1})  # once scanned phi downwards
-@example(cfg={"phi_steps": 2, "phi_hi": 1e308})  # once overflowed n*phi with a warning
-def test_coexist_exit_codes_hold_for_any_config(cfg, tmp_path_factory):
+@given(cfg=_COEXIST_CONFIG, n_sink=_N_FLAG, n_circle=_N_FLAG)
+@example(cfg={"phi_steps": 200, "lphi_band_margin": 1e308},  # once overflowed with a warning
+         n_sink=None, n_circle=None)
+@example(cfg={"phi_steps": 200, "phi_lo": 3.0, "phi_hi": 0.1},  # once scanned phi downwards
+         n_sink=None, n_circle=None)
+@example(cfg={"phi_steps": 2, "phi_hi": 1e308},  # once overflowed n*phi with a warning
+         n_sink=None, n_circle=None)
+@example(cfg=_LOOSE_CIRCLE_SIDE, n_sink=None, n_circle=700)  # once an OverflowError traceback
+def test_coexist_exit_codes_hold_for_any_config(cfg, n_sink, n_circle, tmp_path_factory):
     ini = tmp_path_factory.mktemp("coexist") / "c.ini"
     ini.write_text("[coexist]\n" + "".join(f"{k} = {v!r}\n" for k, v in cfg.items()))
-    code, out = _run(["coexist", "--config", str(ini)])
+    flags = [f"{f}={n}" for f, n in (("--n-sink", n_sink), ("--n-circle", n_circle)) if n is not None]
+    code, out = _run(["coexist", "--config", str(ini), *flags])
     box = CoexistenceBox()
     lo, hi = cfg.get("phi_lo", box.phi_lo), cfg.get("phi_hi", box.phi_hi)
     if code == 0:

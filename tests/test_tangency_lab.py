@@ -33,6 +33,7 @@ from ghmlab.tangency_lab import (
     mount_window,
     tangency_jacobian,
     window_invert,
+    window_mb,
     window_terms,
 )
 
@@ -153,7 +154,7 @@ def test_return_map_config_validation():
 def test_return_map_is_global_after_n_local_steps():
     n, phi = 6, 0.9
     cf = replace(DEFAULT_COEFFS, mu=0.01)
-    T = ReturnMap(ReturnMapConfig(DEFAULT_SPECTRUM, cf, n, phi))
+    T = ReturnMap([ReturnMapConfig(DEFAULT_SPECTRUM, cf, n, phi)])
     y0 = (cf.y_minus + 0.4 * SIGMA_HALF_HEIGHT) / T.gn  # w = 0.4 h
     X, w = T.step((0.05, -0.02), T.gn * y0 - cf.y_minus)
     s = (0.05, -0.02, y0)
@@ -171,7 +172,7 @@ def test_return_map_step_is_batched_in_exit_box_coordinates():
     n, phi = 7, 1.1
     cf = replace(DEFAULT_COEFFS, mu=-0.003)
     cfg = ReturnMapConfig(DEFAULT_SPECTRUM, cf, n, phi)
-    T = ReturnMap(cfg)
+    T = ReturnMap([cfg])
     rng = np.random.default_rng(3)
     X = rng.uniform(-0.1, 0.1, (2, 6))
     y = cfg.sigma_center + rng.uniform(-1.0, 1.0, 6) * SIGMA_HALF_HEIGHT / T.gn
@@ -194,7 +195,7 @@ def test_window_terms_mu0_centres_the_critical_fixed_point():
     for n, phi in ((4, 1.3), (8, 0.7), (12, 2.1)):
         mu0 = window_terms(sp, cf, n, phi)[1]
         cfg = ReturnMapConfig(sp, replace(cf, mu=mu0), n, phi)
-        T = ReturnMap(cfg)
+        T = ReturnMap([cfg])
         xc = np.linalg.solve(np.eye(2) - sp.lam**n * (cf.A @ _rot(n * phi)), cf.x_plus)
         X, w = T.step(xc, T.gn * cfg.sigma_center - cf.y_minus)
         assert abs(X[0] - xc[0]) < 1e-12
@@ -352,7 +353,7 @@ def test_mounted_window_carries_long_orbits():
     # sigma_n (|w| <= h) on each of 1000 returns
     sp = DEFAULT_SPECTRUM
     cfg = mount_window(sp, DEFAULT_COEFFS, 8, (0.0, 0.5))
-    T = ReturnMap(cfg)
+    T = ReturnMap([cfg])
     X = np.linalg.solve(np.eye(2) - sp.lam**cfg.n * (cfg.coeffs.A @ _rot(cfg.n * cfg.phi)),
                         cfg.coeffs.x_plus)
     # offset the seed in rescaled units: u = -d gamma^n w, and the focus at
@@ -445,7 +446,7 @@ def test_window_r_is_inf_at_B_zero():
 
 def test_dead_orbits_do_not_touch_live_ones():
     cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (1.0, 0.5))
-    T = ReturnMap(cfg)
+    T = ReturnMap([cfg])
     X, w = tangency_lab._manifold_seed(T, *tangency_lab._delay_grid())
     assert len(w) == 205
     dead = np.arange(3, 200, 20)
@@ -468,7 +469,7 @@ def test_dead_orbits_do_not_touch_live_ones():
     (6, (0.3, 0.4)),
 ])
 def test_each_return_orbit_alone_is_its_batch_row(n, target):
-    T = ReturnMap(mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, n, target))
+    T = ReturnMap([mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, n, target)])
     up, un = tangency_lab._delay_grid()
     U = tangency_lab._run_return_orbits(T, *tangency_lab._manifold_seed(T, up, un), 64)
     for i in range(len(up)):
@@ -480,12 +481,29 @@ def test_each_return_orbit_alone_is_its_batch_row(n, target):
 def test_orbit_tail_is_its_row_in_a_delay_grid_batch():
     # the one-orbit checks of coexistence_search seed at u_prev = u_now = 0
     cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (0.0, 0.5))
-    T = ReturnMap(cfg)
+    T = ReturnMap([cfg])
     up, un = (np.append(u, 0.0) for u in tangency_lab._delay_grid())
     U = tangency_lab._run_return_orbits(T, *tangency_lab._manifold_seed(T, up, un), 400)
     tail = tangency_lab._orbit_tail(cfg, 400, 20)
     assert tail is not None
     assert np.array_equal(tail, U[-1, -20:])
+
+
+def test_return_index_out_of_float_range_is_a_value_error():
+    # gamma^2n leaves the doubles at n >= 604 and (lam*gamma)^n at n >= 3072;
+    # n = 10**400 cannot even be converted to a float
+    sp, cf, target = DEFAULT_SPECTRUM, DEFAULT_COEFFS, (1.0, 0.5)
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        fit_ghm(ReturnMapConfig(sp, cf, 1300, 1.0))
+    assert all(math.isfinite(v) for v in window_terms(sp, cf, 1300, 1.0))
+    with pytest.raises(ValueError):
+        window_terms(sp, cf, 10**400, 1.0)
+    for n in (1300, 10**400):
+        for call in (lambda: window_mb(sp, 0.0, 1.0, n), lambda: window_invert(sp, n, target),
+                     lambda: mount_window(sp, cf, n, target),
+                     lambda: coexistence_search(sp, COEX_COEFFS, 10, n)):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_window_terms_over_a_phi_array_is_its_scalar_calls():
@@ -581,7 +599,7 @@ def test_coexistence_scan_does_not_depend_on_chunk_size(monkeypatch, n_sink, n_c
         log: list = []
         hit = coexistence_search(DEFAULT_SPECTRUM, COEX_COEFFS, n_sink, n_circle, box, probe_log=log)
         assert len(log) == probes and (hit is not None) == found
-        runs.append((repr(log), hit, repr(None if hit is None else hit.evidence)))
+        runs.append((repr(log), hit))
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
