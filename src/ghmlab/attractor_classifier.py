@@ -25,7 +25,9 @@ tens of cells is bound by the same per-call cost, so it issues fewer,
 same-shape calls: two rows of B*x, M - B*x and R*x per call (_window),
 stacked rows of the running Jacobian product (_block_products), and a
 stacked image of the tangent vector per block; each keeps every
-operation and its operand order, so the bits are the per-step ones. On
+operation and its operand order, so the bits are the per-step ones. The
+record buffers and the views the steps take are built once per live set
+of cells and record length (_batch_record), not once a record. On
 the Henon plane, R = +-0 with no cell at M = +-0, the steps drop the term
 (R*x)*y, a signed zero at every finite state that leaves the step's bits
 as they are: 3 calls a step. A record that leaves the finite
@@ -286,7 +288,39 @@ def _chunks(n, doubles):
     return [slice(c0, c0 + c) for c0 in range(0, n, c)]
 
 
-def _window(x, y, M, B, R, w):
+def _batch_record(cells, M, B, R, w):
+    """The buffer of a w-step _window record of a batch of the given shape
+    with parameters (M, B, R), and every view its steps take: built once
+    for a live set of cells and a record length, and passed to each
+    _window call that records those cells.
+
+    Pair i takes steps 2i and 2i + 1: its xs are rows (2i, 2i + 1), B*x
+    goes into its output rows (2i + 2, 2i + 3) and R*x into two rows that
+    all pairs share, and each step then squares its y and subtracts. A pair
+    is one flat tuple of views. An odd w's last pair holds one row, and its
+    missing second step runs on a row of zeros, which it leaves zero. Also
+    returns whether the steps may drop the (R*x)*y term."""
+    Y = np.empty((w + 2,) + cells)
+    two = (2,) + cells
+    ops = np.empty((4,) + two)  # M, B, R and a pair's R*x
+    ops[0], ops[1], ops[2] = M, B, R
+    T, zero = np.empty(cells), np.zeros(cells)
+    P, odd = divmod(w, 2)
+    ys = list(Y)
+    xs = list(Y[: 2 * P + 2].reshape((P + 1,) + two))
+    MM, BB, RR, RX = ops
+    r0, r1 = RX
+    pairs = [(BB, xk, nxt, MM, RR, RX, y0, z0, r0, z0, z1, r1)
+             for xk, nxt, y0, z0, z1 in zip(xs, xs[1:], ys[1::2], ys[2::2], ys[3::2])]
+    if odd:
+        M1, B1, R1, RX1 = ops[:, :1]
+        pairs.append((B1, Y[w - 1 : w], Y[w + 1 :], M1, R1, RX1, ys[w], ys[w + 1], RX1[0],
+                      zero, zero, zero))
+    # R = +-0 with no M = +-0: the Henon plane, stepped without the term
+    return Y, T, not ops[2].any() and ops[0].all(), pairs
+
+
+def _window(x, y, M, B, R, w, rec=None):
     """Record of w map steps from (x, y), one cell per column: row 0 is x and
     row j + 1 the y after j steps, so the state after step j is rows (j, j + 1).
     Every map step of the module is taken here, in the operand order
@@ -305,9 +339,11 @@ def _window(x, y, M, B, R, w):
     step, so one call forms B*x for both (into their output rows), one
     M - B*x and one R*x, all against (2, n) copies of M, B and R (a Python
     float operand costs more per call than an array). Each step then makes
-    its own y*y and (R*x)*y calls: 5.5 calls a step, and 3 without
-    the term. An odd w's last pair holds one row."""
-    shape = (w + 2,) + np.shape(x)
+    its own y*y and (R*x)*y calls: 5.5 calls a step, and 3 without the
+    term. The buffer and views come from rec, a _batch_record of these
+    cells and w, which the caller builds once for all its records of the
+    same cells and length; the batch's record is then that buffer, valid
+    until the next call that is passed rec."""
     if np.size(x) == 1:
         def steps(x, y, M, B, R, term):
             yield x
@@ -327,37 +363,33 @@ def _window(x, y, M, B, R, w):
         if not (term or math.isfinite(Y[-1])):
             Y = None  # release the record before its second pass
             Y = np.fromiter(steps(*cell, True), float, w + 2)
-        return Y.reshape(shape)
-    Y = np.empty(shape)
+        return Y.reshape((w + 2,) + np.shape(x))
+    Y, T, plane, pairs = rec or _batch_record(np.shape(x), M, B, R, w)
     Y[0], Y[1] = x, y
     mul, sub = np.multiply, np.subtract
-    two = (2,) + np.shape(x)
-    pair = np.empty((4,) + two)  # M, B, R and the pair's R*x
-    pair[0], pair[1], pair[2] = M, B, R
-    T = np.empty(np.shape(x))
-    P, odd = divmod(w, 2)
-    # every view the loop takes, made once: a pair's operands, its xs and
-    # output rows, and each step's (y, output row, R*x row)
-    rows = list(Y)
-    pairs = list(Y[: 2 * P + 2].reshape((P + 1,) + two))
-    steps = list(zip(rows[1:], rows[2:], list(pair[3]) * (P + 1)))
-    ops = [tuple(pair)] * P + [tuple(pair[:, :1])] * odd
-    ends = list(zip(pairs, pairs[1:])) + [(Y[w - 1 : w], Y[w + 1 :])] * odd
-    short = not pair[2].any() and pair[0].all()
-    for term in (False, True) if short else (True,):
-        for (MM, BB, RR, RX), (xk, nxt), k in zip(ops, ends, range(0, w, 2)):
+    if plane:
+        for BB, xk, nxt, MM, _, _, y0, z0, _, y1, z1, _ in pairs:
             mul(BB, xk, nxt)
             sub(MM, nxt, nxt)
-            if term:
-                mul(RR, xk, RX)
-            for yk, zk, rx in steps[k : k + 2]:
-                mul(yk, yk, T)
-                sub(zk, T, zk)
-                if term:
-                    mul(rx, yk, rx)
-                    sub(zk, rx, zk)
-        if term or np.isfinite(Y[-1]).all():
+            mul(y0, y0, T)
+            sub(z0, T, z0)
+            mul(y1, y1, T)
+            sub(z1, T, z1)
+        if np.isfinite(Y[-1]).all():
             return Y
+    for BB, xk, nxt, MM, RR, RX, y0, z0, r0, y1, z1, r1 in pairs:
+        mul(BB, xk, nxt)
+        sub(MM, nxt, nxt)
+        mul(RR, xk, RX)
+        mul(y0, y0, T)
+        sub(z0, T, z0)
+        mul(r0, y0, r0)
+        sub(z0, r0, z0)
+        mul(y1, y1, T)
+        sub(z1, T, z1)
+        mul(r1, y1, r1)
+        sub(z1, r1, z1)
+    return Y
 
 
 def _exits(Y, rad):
@@ -421,24 +453,39 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
     ~1e19). Scaling by 2^-e is exact and a cell's sums run in an order set
     by its own data, so a one-cell batch, which renormalizes on Python
     floats, gets the bits of any batch.
+
+    A batch's buffers, its _batch_record and the views of its
+    renormalization are built once per live set and record length, and
+    reused by every record until an escape shrinks the live set. The
+    batch renormalizes in 7 calls a block: the tangent vector is held
+    twice, so that one same-shape call forms (p v1, q v2, r v1, t v2) from
+    the block's stacked (p, q, r, t), one call sums its pairs into the image
+    (w1, w2), and ldexp writes the scaled image over both copies.
     """
     n = x.size
     out = [np.full(n, np.nan) for _ in range(4)]
     esc = np.zeros(n, dtype=np.int64)
     live = np.arange(n)
-    tan = np.full((2, n), _INV_SQRT2)  # the tangent vector (v1, v2)
+    tan = np.full((2, 2, n), _INV_SQRT2)  # the tangent vector (v1, v2), twice
     esum = np.zeros(n)  # whole powers of two taken out of the tangent vector
     sdet = np.zeros(n)
     frexp, ldexp = math.frexp, math.ldexp
     W, K = _LYAP_WINDOW, _LYAP_BLOCK
     m = s = 0
+    key = None
     while s < span and live.size:
-        if m != live.size:  # record length and Jacobian buffers, again after escapes
+        if m != live.size:  # record length, buffers and views, again after escapes
             m = live.size
             L = W * max(1, _CELLS * K // (m * W))
             det, a = np.empty((L, m)), np.empty((L, m))
+            pv = np.empty((4, m))
+            vv, pq, rt = tan.reshape(4, m), pv[0::2], pv[1::2]
+            img, mag = np.empty((2, 2, m))
+            mag1, mag2 = mag
         w = min(L, span - s)
-        Y = _window(x, y, M, B, R, w)  # x_j = Y[j], y_j = Y[j + 1]
+        if key != (m, w):
+            key, rec = (m, w), _batch_record(x.shape, M, B, R, w) if m > 1 else None
+        Y = _window(x, y, M, B, R, w, rec)  # x_j = Y[j], y_j = Y[j + 1]
         x, y = Y[w].copy(), Y[w + 1].copy()
         aw, dw = _jacobians(Y[:w], Y[1:-1], B, R, a[:w], det[:w])
         # records start on window boundaries, so no block straddles a window
@@ -448,7 +495,7 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
             tail = _block_products(aw[nb * K :].reshape(1, rem, m), dw[nb * K :].reshape(1, rem, m))
             prods = [np.concatenate(v) for v in zip(prods, tail)]
         if m == 1:  # numpy's per-call cost would dominate one cell's loop
-            (c1, c2), es = tan[:, 0].tolist(), float(esum[0])
+            (c1, c2), es = tan[0, :, 0].tolist(), float(esum[0])
             for p, q, r, t in zip(*(v[:, 0].tolist() for v in prods)):
                 w1 = p * c1 + q * c2
                 w2 = r * c1 + t * c2
@@ -459,29 +506,17 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
                 e = frexp(mx)[1]
                 es += e
                 c1, c2 = ldexp(w1, -e), ldexp(w2, -e)
-            tan, esum = np.array([[c1], [c2]]), np.array([es])
-        else:
+            tan[:, :, 0], esum[0] = (c1, c2), es
+        else:  # 7 calls a block; ldexp writes both copies of (v1, v2)
             N = np.empty((nb + (rem > 0), m))  # max |w| of each block's image
             E = np.empty(N.shape, dtype=np.intc)
-            # (v1, v2) is held twice, so one same-shape call forms (p v1, q v2,
-            # r v1, t v2) from a block's stacked (p, q, r, t): a broadcast
-            # operand costs about twice a same-shape one. 9 calls a block
-            vv = np.concatenate((tan, tan))
-            tan, again = vv[:2], vv[2:]  # tan is rescaled in place
-            pv = np.empty((4, m))
-            pv1, qv2, rv1, tv2 = pv
-            img, mag = np.empty((2, 2, m))
-            w1, w2 = img
-            u1, u2 = mag
             for pqrt, mx, e in zip(np.stack(prods, axis=1), N, E):
                 np.multiply(pqrt, vv, pv)
-                np.add(pv1, qv2, w1)
-                np.add(rv1, tv2, w2)
+                np.add(pq, rt, img)
                 np.abs(img, out=mag)
-                np.maximum(u1, u2, out=mx)
+                np.maximum(mag1, mag2, out=mx)
                 np.negative(np.frexp(mx)[1], out=e)
                 np.ldexp(img, e, tan)
-                np.copyto(again, tan)
             esum = np.where(((N >= _TINY) & (N <= _HUGE)).all(axis=0), esum - E.sum(axis=0), np.nan)
         # log|det| goes to a's spent buffer one row per cell, so every cell
         # gets the pairwise sum of its own row in each window whatever the batch
@@ -491,14 +526,13 @@ def _lyapunov_windows(x, y, M, B, R, span, rad):
         for j in range(0, w, W):
             sdet = sdet + ld[:, j : j + W].sum(axis=1)
         gone, at = _exits(Y, rad)
-        del Y  # before the next record is allocated
         if gone.any():
             esc[live[gone]] = s + at
             keep = ~gone
             live, x, y, M, B, esum, sdet = (v[keep] for v in (live, x, y, M, B, esum, sdet))
-            tan = tan[:, keep]
+            tan = np.compress(keep, tan, axis=2)
         s += w
-    slog = esum * _LN2 + np.log(np.hypot(*tan))
+    slog = esum * _LN2 + np.log(np.hypot(*tan[0]))
     for o, v in zip(out, (slog, sdet, x, y)):
         o[live] = v
     return (*out, esc)
@@ -527,9 +561,12 @@ def _burn_in(live, x, y, M, B, R, steps, rad, escape_step):
     n = live.size
     w_max = min(max(_LYAP_BLOCK, _CELLS * _LYAP_BLOCK // n), _LYAP_WINDOW)
     w_max = max(1, min(w_max, _CHUNK_BYTES // (8 * n) - 2))
+    key = rec = None
     for s in range(0, steps, w_max):
         w = min(w_max, steps - s)
-        Y = _window(x, y, M, B, R, w)
+        if key != (live.size, w):  # a batch's record and views, again after escapes
+            key, rec = (live.size, w), _batch_record(x.shape, M, B, R, w) if live.size > 1 else None
+        Y = _window(x, y, M, B, R, w, rec)
         gone, at = _exits(Y, rad)
         if gone.any():
             escape_step[live[gone]] = s + at
@@ -537,7 +574,6 @@ def _burn_in(live, x, y, M, B, R, steps, rad, escape_step):
             live, x, y, M, B = live[keep], Y[w, keep], Y[w + 1, keep], M[keep], B[keep]
         else:
             x, y = Y[w:].copy()
-        del Y  # before the next window's record is allocated
         if not live.size:
             break
     return live, x, y, M, B

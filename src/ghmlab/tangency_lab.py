@@ -187,11 +187,15 @@ def tangency_jacobian(coeffs: GlobalMapCoeffs) -> float:
 
 def _power(x: float, n: int) -> float:
     """x**n for a return index's power n, or ValueError when it is out of
-    floating-point range."""
+    floating-point range. The message spells n out up to 20 digits and
+    gives a longer n as its leading digits and decimal exponent."""
     try:
         return x**n
     except OverflowError:
-        raise ValueError(f"{x!r}**{n} is out of floating-point range") from None
+        digits = str(abs(n))
+        if len(digits) > 20:
+            digits = f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+        raise ValueError(f"{x!r}**{'-' * (n < 0)}{digits} is out of floating-point range") from None
 
 
 def _x_recursion(spectrum: SaddleSpectrum, coeffs: GlobalMapCoeffs, n: int, phi):
@@ -219,11 +223,24 @@ class ReturnMap:
 
     T0^n is applied in closed form (lam^n Rot(n phi), gamma^n); the
     composition is exact, not n substeps. The batch holds m rows per config,
-    in order: each coefficient of step, gn = gamma^n and u_scale = -d gamma^n
-    is a column holding each window's value on its own rows. step() is the
-    batched map in (x, w) coordinates, w = gamma^n y - y_minus, where sigma_n
-    is |w| <= h; it is elementwise, so an orbit's bits do not depend on its
-    batch. u = u_scale * w is the rescaled coordinate.
+    in order: each coefficient of a return, gn = gamma^n and u_scale =
+    -d gamma^n is a column holding each window's value on its own rows.
+    The map acts in (x, w) coordinates, w = gamma^n y - y_minus, where
+    sigma_n is |w| <= h, and u = u_scale * w is the rescaled coordinate.
+
+    _returns is the one stepping kernel: it keeps return k's state
+    (w, x1, x2) in rows k..k+2 of a time-major record and writes return
+    k + 1's into rows k+1..k+3, so the ws of an orbit's returns stay in
+    rows 0, 1, 2, ... Each return takes 4 stacked products and 3 stacked
+    sums:
+
+        w' = k0 + (kw*w)*w + k1*x1 + k2*x2
+        x1' = p1 + e11*x1 + e12*x2 + b1*w
+        x2' = p2 + e21*x1 + e22*x2 + b2*w
+
+    summed left to right. The products read rows k..k+2 before the sums
+    overwrite rows k+1..k+3. Every operation is elementwise, so an orbit's
+    bits do not depend on its batch. step() is one return of that kernel.
     """
 
     def __init__(self, configs: list[ReturnMapConfig], m: int = 1):
@@ -233,18 +250,48 @@ class ReturnMap:
             gn = _power(sp.gamma, n)
             E, (r1, r2) = _x_recursion(sp, cf, n, c.phi)
             gl = gn * sp.lam**n
-            cols.append((gn, -cf.d * gn, *E, gn * cf.mu - cf.y_minus, gn * cf.d, gl * r1, gl * r2,
-                         *cf.x_plus, *cf.b))
-        self.gn, self.u_scale, *k = (np.repeat(v, m) for v in zip(*cols))
-        self.E, self._k = tuple(k[:4]), tuple(k[4:])
+            (e11, e12, e21, e22), kw = E, gn * cf.d
+            # gn and u_scale, then the factors of w, x1 and x2 and the
+            # constant terms, three each, in the order of _returns' rows
+            cols.append((gn, -cf.d * gn, *cf.b, kw, e11, e21, gl * r1, e12, e22, gl * r2,
+                         gn * cf.mu - cf.y_minus, *cf.x_plus))
+        rows = np.repeat(np.array(cols).T, m, axis=1)
+        self.gn, self.u_scale = rows[:2]
+        self._factors, self._const = (rows[2:5], rows[5:8], rows[8:11]), rows[11:]
+        (b1, b2, kw), (e11, e21, k1), (e12, e22, k2), (k0, p1, p2) = *self._factors, self._const
+        self.E, self._k = (e11, e12, e21, e22), (k0, kw, k1, k2, p1, p2, b1, b2)
+
+    def _returns(self, Y, returns: int):
+        """Take `returns` returns in place on the record Y, whose rows 0..2
+        hold the start (w, x1, x2): row k then holds the w of return k, and
+        the last two rows the last return's (x1, x2)."""
+        mul, add = np.multiply, np.add
+        fw, f1, f2 = self._factors
+        c = self._const
+        # P's rows 0-2, 3-5 and 6-8 are the second, third and fourth terms
+        # of (w', x1', x2'), and row 9 is kw*w
+        P = np.empty((10,) + Y.shape[1:])
+        t2, t3, t4 = P[0:3], P[3:6], P[6:9]
+        pw, p1, p2, kww, wsq = P[7:10], P[1:4], P[4:7], P[9], P[0]
+        for k in range(returns):
+            w, x1, x2 = Y[k : k + 3]
+            out = Y[k + 1 : k + 4]
+            mul(fw, w, pw)
+            mul(kww, w, wsq)
+            mul(f1, x1, p1)
+            mul(f2, x2, p2)
+            add(c, t2, out)
+            add(out, t3, out)
+            add(out, t4, out)
 
     def step(self, X, w):
-        """One return of x-parts X = (x1, x2) and exit-box coordinates w, each (m,)."""
-        x1, x2 = X
-        e11, e12, e21, e22 = self.E
-        k0, kw, k1, k2, p1, p2, b1, b2 = self._k
-        wn = k0 + kw * w * w + k1 * x1 + k2 * x2
-        return (p1 + e11 * x1 + e12 * x2 + b1 * w, p2 + e21 * x1 + e22 * x2 + b2 * w), wn
+        """One return of x-parts X = (x1, x2) and exit-box coordinates w,
+        broadcast against the batch's rows: ((x1', x2'), w')."""
+        Y = np.empty((4,) + np.broadcast_shapes(np.shape(w), np.shape(X[0]), np.shape(X[1]),
+                                                 self.gn.shape))
+        Y[0], Y[1], Y[2] = w, X[0], X[1]
+        self._returns(Y, 1)
+        return (Y[2], Y[3]), Y[1]
 
 
 # ---------------------------------------------------------------------------
@@ -477,25 +524,33 @@ def _manifold_seed(T: ReturnMap, u_prev: np.ndarray, u_now: np.ndarray):
 
 def _run_return_orbits(T: ReturnMap, X: np.ndarray, w: np.ndarray, returns: int) -> np.ndarray:
     """u-history, shape (m, returns + 1), of T_n orbits from m seeds in (x, w)
-    coordinates, with u = T.u_scale * w and the seeds in column 0. All of
-    T's windows share this one loop of steps.
+    coordinates, with u = T.u_scale * w and the seeds in column 0: the
+    transposed view of the first returns + 1 rows of the time-major record
+    that T._returns steps, where u is formed in place of w. All of T's
+    windows share that one record.
 
     An orbit is in the window until its first return outside sigma_n
     (|w| > h) or the rescaled window (|u| > U_ESCAPE); from that return on its
     values are nan. The seeds themselves are not tested. Every orbit is
     stepped for all returns: one that has left runs on to inf or nan, and
-    since step is elementwise it cannot touch the others' bits.
+    since the kernel is elementwise it cannot touch the others' bits. After
+    the run, only the columns of the exit mask of orbits that leave are
+    rewritten, each to out from its first exit on, and nan goes through
+    the mask in one call.
     """
-    W = np.empty((len(w), returns + 1))
-    W[:, 0] = w
+    Y = np.empty((returns + 3, len(w)))
+    Y[0], Y[1], Y[2] = w, X[0], X[1]
     with np.errstate(all="ignore"):
-        for k in range(returns):
-            X, w = T.step(X, w)
-            W[:, k + 1] = w
-        U = np.reshape(T.u_scale, (-1, 1)) * W
-        out = ~((np.abs(W[:, 1:]) <= SIGMA_HALF_HEIGHT) & (np.abs(U[:, 1:]) <= U_ESCAPE))
-    U[:, 1:][np.logical_or.accumulate(out, axis=1)] = np.nan
-    return U
+        T._returns(Y, returns)
+        U = Y[: returns + 1]  # the ws, and then u = u_scale * w in place
+        ok = (U[1:] <= SIGMA_HALF_HEIGHT) & (U[1:] >= -SIGMA_HALF_HEIGHT)  # nan is out
+        np.multiply(T.u_scale, U, out=U)
+        ok &= (U[1:] <= U_ESCAPE) & (U[1:] >= -U_ESCAPE)
+    gone = np.flatnonzero(~ok.all(axis=0))
+    if gone.size:  # in up to its first exit, out from there on
+        ok[:, gone] = np.arange(returns)[:, None] < ok[:, gone].argmin(axis=0)
+        np.copyto(U[1:], np.nan, where=~ok)
+    return U.T
 
 
 def fit_ghm(config: ReturnMapConfig) -> GhmParams:

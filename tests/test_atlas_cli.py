@@ -521,6 +521,20 @@ def test_coexist_overflowing_n_exits_3(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("window", "--n", str(10**400), "--target-m", "1", "--target-b", "0.5"),
+    ("rescale", "--n", str(10**400)),
+    ("coexist", "--n-sink", str(10**400)),
+])
+def test_a_401_digit_return_index_gets_a_short_message(capsys, argv):
+    # the overflow message gives such an index by its leading digits and
+    # exponent, not all 401 of them
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and len(err) < 200, err
+    assert "e+400 is out of floating-point range" in err
+
+
 def test_coexist_rejects_return_index_below_one(capsys):
     assert run(capsys, "coexist", "--n-sink", "0")[0] == 3
     assert run(capsys, "coexist", "--n-circle", "-3")[0] == 3

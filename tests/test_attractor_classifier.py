@@ -814,6 +814,72 @@ def test_window_drops_the_zero_term_at_r_zero(monkeypatch):
         assert len(calls) == want, (xs, Ms, R)
 
 
+def test_lyapunov_phase_builds_its_record_views_once_per_record_length(monkeypatch):
+    # four cells that stay in the box go through records of 4096 steps and a
+    # last one of 1000: the record and its step views are built once for
+    # each length, not once a record, and the steps still take 3 numpy
+    # calls each at R = 0
+    M, B = np.array([1.4, 1.3, 1.2, 1.0]), np.full(4, -0.3)
+    x, y = attractor_classifier._seeds(M, B, 0.0)
+    builds, calls, inside = [], [], []
+    build, window = attractor_classifier._batch_record, attractor_classifier._window
+
+    def spy(*args):
+        inside.append(True)
+        try:
+            return window(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(attractor_classifier, "_batch_record",
+                        lambda *a: builds.append((a[0], a[-1])) or build(*a))
+    monkeypatch.setattr(attractor_classifier, "_window", spy)
+    for name in ("multiply", "subtract"):
+        f = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, f=f: (inside and calls.append(f)) or f(*a))
+    span = 3 * 4096 + 1000
+    slog, _, _, _, esc = attractor_classifier._lyapunov_windows(x, y, M, B, 0.0, span, 1.0e6)
+    assert not esc.any() and np.isfinite(slog).all()
+    assert builds == [((4,), 4096), ((4,), 1000)]
+    assert len(calls) == 3 * span
+
+
+def test_batch_survivors_keep_their_one_cell_bits_across_escapes(monkeypatch):
+    # three of six cells leave the box at different steps of the burn-in and
+    # of the Lyapunov span, so each escape compacts the batch and its record
+    # and views are built again; every cell, whether it leaves or not, gets
+    # the bits of its one-cell run
+    M, B = np.array([1.4274, 1.4, 1.4269732, 1.3, 1.4269516, 1.2]), np.full(6, -0.3)
+    x, y = attractor_classifier._seeds(M, B, 0.0)
+    x[::2] = y[::2] = 0.0
+    built = []
+    build = attractor_classifier._batch_record
+    monkeypatch.setattr(attractor_classifier, "_batch_record",
+                        lambda *a: built.append(a[0]) or build(*a))
+    span, rad = 40_007, 1.0e6
+    with np.errstate(all="ignore"):
+        esc = np.zeros(6, dtype=np.int64)
+        live, bx, by, _, _ = attractor_classifier._burn_in(np.arange(6), x, y, M, B, 0.0, span,
+                                                            rad, esc)
+        lyap = attractor_classifier._lyapunov_windows(x, y, M, B, 0.0, span, rad)
+        for i in range(6):
+            cell = [v[i : i + 1] for v in (x, y, M, B)]
+            one_esc = np.zeros(1, dtype=np.int64)
+            one = attractor_classifier._burn_in(np.arange(1), *cell, 0.0, span, rad, one_esc)
+            assert one_esc[0] == esc[i]
+            if i in live:
+                j = live.tolist().index(i)
+                assert (one[1].tobytes(), one[2].tobytes()) == (bx[j : j + 1].tobytes(),
+                                                                by[j : j + 1].tobytes())
+            one = attractor_classifier._lyapunov_windows(*cell, 0.0, span, rad)
+            for u, v in zip(one, lyap):
+                assert np.array_equal(u, v[i : i + 1], equal_nan=True), i
+    assert live.tolist() == [1, 3, 5] and np.array_equal(esc, lyap[4])
+    assert len(set((esc[::2] // 512).tolist())) == 3  # in three different windows
+    # each phase builds for 6, 5, 4 and 3 live cells
+    assert {n for n, in built} == {6, 5, 4, 3}
+
+
 @pytest.mark.parametrize("blocks, k", [(3, 16), (1, 5), (1, 1)])
 def test_block_products_are_the_2x2_product_loop(blocks, k):
     # (p, q, r, t) of J_k-1 ... J_0, J_j = [[0, 1], [-d_j, a_j]], per block

@@ -478,6 +478,50 @@ def test_each_return_orbit_alone_is_its_batch_row(n, target):
         assert np.array_equal(alone[0], U[i], equal_nan=True), i
 
 
+def _textbook_return(T, X, w):
+    # T_n written out, summed left to right
+    e11, e12, e21, e22 = T.E
+    k0, kw, k1, k2, p1, p2, b1, b2 = T._k
+    x1, x2 = X
+    return ((p1 + e11 * x1 + e12 * x2 + b1 * w, p2 + e21 * x1 + e22 * x2 + b2 * w),
+            k0 + kw * w * w + k1 * x1 + k2 * x2)
+
+
+def test_return_kernel_takes_7_numpy_calls_and_step_is_one_of_its_returns(monkeypatch):
+    # two windows' delay grids in one batch, run for 12 returns: the kernel
+    # takes 4 stacked products and 3 stacked sums a return, step is one of
+    # its returns, and both give the textbook formula's bits; a seed orbit's
+    # u stays its step-by-step u until the orbit leaves
+    sp, cf = DEFAULT_SPECTRUM, DEFAULT_COEFFS
+    T = ReturnMap([mount_window(sp, cf, n, (1.9, 0.5)) for n in (6, 12)], 205)
+    X, w = tangency_lab._manifold_seed(T, *(np.tile(u, 2) for u in tangency_lab._delay_grid()))
+    calls = []
+    for name in ("multiply", "add"):
+        f = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, f=f: calls.append(f) or f(*a))
+    Y = np.empty((15, w.size))
+    Y[0], Y[1], Y[2] = w, *X
+    with np.errstate(all="ignore"):
+        T._returns(Y, 12)
+        assert len(calls) == 7 * 12
+        calls.clear()
+        T.step(X, w)
+        assert len(calls) == 7
+        monkeypatch.undo()
+        U = tangency_lab._run_return_orbits(T, X, w, 12)
+        Xk, wk = X, w
+        for k in range(12):
+            (x1, x2), wn = T.step(Xk, wk)
+            (t1, t2), tw = _textbook_return(T, Xk, wk)
+            assert (x1.tobytes(), x2.tobytes(), wn.tobytes()) == (t1.tobytes(), t2.tobytes(),
+                                                                 tw.tobytes())
+            assert Y[k + 1].tobytes() == wn.tobytes()
+            live = ~np.isnan(U[:, k + 1])
+            assert np.array_equal(U[live, k + 1], (T.u_scale * wn)[live])
+            Xk, wk = (x1, x2), wn
+    assert live.sum() > 205 and not live.all()
+
+
 def test_orbit_tail_is_its_row_in_a_delay_grid_batch():
     # the one-orbit checks of coexistence_search seed at u_prev = u_now = 0
     cfg = mount_window(DEFAULT_SPECTRUM, DEFAULT_COEFFS, 8, (0.0, 0.5))
